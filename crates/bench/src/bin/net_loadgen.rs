@@ -109,8 +109,7 @@ fn run() -> Result<(), String> {
     );
     let net_engine = engine()?;
     // Size the plane for the requested load: the connection cap scales
-    // with --clients, while the reply dispatcher pool stays at its fixed
-    // default however many sockets are open.
+    // with --clients.
     let mut server = net_engine
         .handle()
         .serve_net_with(

@@ -108,7 +108,8 @@ pub struct Response {
     /// to evaluating the same operands on a sequential [`nacu::Nacu`] with
     /// the engine's configuration.
     pub outputs: Vec<Fx>,
-    /// Index of the pool worker (and therefore NACU unit) that served it.
+    /// Index of the pool worker (and therefore NACU unit) that served it;
+    /// the pool size for a request served inline by `submit`.
     pub worker: usize,
     /// Total operands in the fused hardware batch this request rode in
     /// (≥ `outputs.len()`; larger means coalescing happened).

@@ -14,6 +14,10 @@
 //! * [`Engine::submit`] pushes a [`Request`] (σ/tanh/exp batch or a
 //!   softmax vector) into a **bounded** queue; a full queue answers
 //!   [`SubmitError::Busy`] instead of growing without limit.
+//! * Table-backed σ/tanh/exp skip the queue: when the engine holds a
+//!   response table for the function (see [`EngineConfig::use_fast_path`]
+//!   — and no worker carries a fault plan), `submit` gathers the outputs
+//!   on the calling thread and returns an already-resolved [`Ticket`].
 //! * Workers pop *runs* of same-function scalar requests and fuse them
 //!   into one pipelined hardware batch, paying the Table I fill latency
 //!   once (see [`report::modeled_batch_cycles`]).
@@ -74,7 +78,7 @@ pub use batch::{Request, RequestError, Response};
 pub use executor::{BatchExecutor, ExecutorKind, ExecutorSelect};
 pub use metrics::{EngineMetrics, MetricsSnapshot};
 pub use report::{LatencySummary, ThroughputReport, WindowLine, PAPER_CLOCK_HZ};
-pub use wake::{Completer, CompletionNotifier, CompletionSet, TicketFuture};
+pub use wake::{Completer, TicketFuture};
 // Re-exported so engine clients can build fault policies without naming
 // nacu-faults directly.
 pub use nacu_faults::{DetectorSet, Fault, FaultEvent, FaultKind, FaultPlan, InjectionSite};
@@ -421,8 +425,11 @@ impl From<RequestError> for WaitError {
 /// [`wake`]): blocking ([`Ticket::wait`] / [`Ticket::wait_timeout`], thin
 /// wrappers over [`wake::block_on`]), polling ([`Ticket::try_wait`]), and
 /// asynchronous — `Ticket` implements [`std::future::IntoFuture`], so
-/// `ticket.await` works under any executor, and a [`wake::CompletionSet`]
-/// multiplexes thousands of in-flight tickets onto one driver thread.
+/// `ticket.await` works under any executor, and the waker it registers
+/// runs on whichever thread completes the request.
+///
+/// A table-served request completes inside [`EngineHandle::submit`], so
+/// its ticket is already resolved when the caller receives it.
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) slot: Arc<wake::Slot<wake::ReplyResult>>,
@@ -496,20 +503,30 @@ impl std::future::IntoFuture for Ticket {
 
 #[derive(Debug)]
 struct Shared {
-    queue: Arc<BoundedQueue<Job>>,
-    metrics: Arc<EngineMetrics>,
-    obs: Arc<Obs>,
-    health: Arc<Vec<AtomicBool>>,
+    /// Queue, counters, observability, health flags and recorder — the
+    /// state the workers serve from, and the inline path too.
+    pool: Arc<PoolShared>,
+    /// Response tables `submit` serves σ/tanh/exp from on the calling
+    /// thread: present when the fast path is on, the format fits the
+    /// table budget, and no worker slot carries a fault plan.
+    inline_tables: Option<Arc<ResponseTables>>,
     format: QFormat,
     default_deadline: Option<Duration>,
     /// Monotone request-id source; ids start at 1 so 0 can mean "no id".
     next_request_id: AtomicU64,
-    /// Trace recorder, present when [`EngineConfig::record_capacity`] is
-    /// set and the format's codes fit the log's i16 fields.
-    recorder: Option<Arc<Recorder>>,
     /// Windowed-telemetry plane, present when
     /// [`EngineConfig::telemetry_interval`] is set.
     telemetry: Option<Arc<Telemetry>>,
+}
+
+impl Shared {
+    fn healthy_workers(&self) -> usize {
+        self.pool
+            .health
+            .iter()
+            .filter(|h| h.load(Ordering::Acquire))
+            .count()
+    }
 }
 
 /// A cloneable submission handle, independent of the [`Engine`]'s
@@ -528,6 +545,11 @@ impl EngineHandle {
     }
 
     /// Submits a request, returning a [`Ticket`] for its response.
+    ///
+    /// σ/tanh/exp on an engine with response tables (fast path on, a
+    /// format of at most 16 bits, no worker with a fault plan) are served
+    /// here, on the calling thread, before this returns; everything else
+    /// is queued for the pool.
     ///
     /// # Errors
     ///
@@ -563,7 +585,7 @@ impl EngineHandle {
         // overwrites the operand buffer in place and hands it to the
         // client as the response, so submission is the only point where
         // the operands are reliably themselves.
-        let record = match &self.shared.recorder {
+        let record = match &self.shared.pool.recorder {
             Some(recorder) => {
                 let deadline_micros = request.deadline.map_or(0, |d| {
                     u64::try_from(d.saturating_duration_since(Instant::now()).as_micros())
@@ -577,37 +599,58 @@ impl EngineHandle {
                     request.operands.iter().map(|x| x.raw() as i16),
                 );
                 if slot == NO_RECORD_SLOT {
-                    self.shared.metrics.record_replay_record_dropped();
+                    self.shared.pool.metrics.record_replay_record_dropped();
                 }
                 slot
             }
             None => NO_RECORD_SLOT,
         };
         let (ticket, reply) = wake::pair(req);
-        match self.shared.queue.try_push(Job {
+        let job = Job {
             id: req,
             request,
             reply,
             retries: 0,
             submitted_at: Instant::now(),
             record,
-        }) {
+        };
+        let pool = &self.shared.pool;
+        let accepted = || {
+            pool.metrics.record_submitted();
+            pool.obs.record_trace(TraceKind::Submit {
+                req,
+                conn,
+                function,
+                ops: ops.min(u32::MAX as usize) as u32,
+            });
+        };
+        // Table-backed work is answered here, on the calling thread: a
+        // gather is cheaper than the hand-off to a worker and back.
+        let inline_table = self
+            .shared
+            .inline_tables
+            .as_deref()
+            .and_then(|t| t.get(function));
+        if let Some(table) = inline_table {
+            if pool.queue.is_closed() {
+                self.abandon_record(job.record);
+                return Err(SubmitError::ShuttingDown);
+            }
+            accepted();
+            crate::pool::serve_inline(pool, table, job);
+            return Ok(ticket);
+        }
+        match pool.queue.try_push(job) {
             Ok(depth) => {
-                self.shared.metrics.record_submitted();
-                self.shared.metrics.record_queue_depth(depth);
-                self.shared.obs.record_trace(TraceKind::Submit {
-                    req,
-                    conn,
-                    function,
-                    ops: ops.min(u32::MAX as usize) as u32,
-                });
+                pool.metrics.record_queue_depth(depth);
+                accepted();
                 Ok(ticket)
             }
             Err(PushError::Full(job)) => {
                 self.abandon_record(job.record);
-                self.shared.metrics.record_busy_rejection();
+                pool.metrics.record_busy_rejection();
                 Err(SubmitError::Busy {
-                    capacity: self.shared.queue.capacity(),
+                    capacity: pool.queue.capacity(),
                 })
             }
             Err(PushError::Closed(job)) => {
@@ -620,7 +663,7 @@ impl EngineHandle {
     /// Releases a claimed trace-record slot for a request that never made
     /// it into the queue.
     fn abandon_record(&self, slot: u32) {
-        if let Some(recorder) = &self.shared.recorder {
+        if let Some(recorder) = &self.shared.pool.recorder {
             recorder.abandon(slot);
         }
     }
@@ -641,7 +684,7 @@ impl EngineHandle {
     /// [`Recorder::take_log`] (after quiescing, for a complete capture).
     #[must_use]
     pub fn recorder(&self) -> Option<Arc<Recorder>> {
-        self.shared.recorder.clone()
+        self.shared.pool.recorder.clone()
     }
 
     /// Submit + wait in one call, for synchronous callers.
@@ -659,7 +702,7 @@ impl EngineHandle {
     /// Live counter snapshot.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.pool.metrics.snapshot()
     }
 
     /// The engine's live observability surface (histograms, trace ring,
@@ -667,7 +710,7 @@ impl EngineHandle {
     /// and drain/snapshot while the pool serves.
     #[must_use]
     pub fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.shared.obs)
+        Arc::clone(&self.shared.pool.obs)
     }
 
     /// The engine's live counter set, for front-ends that account events
@@ -677,23 +720,19 @@ impl EngineHandle {
     /// serving counters.
     #[must_use]
     pub fn live_metrics(&self) -> Arc<EngineMetrics> {
-        Arc::clone(&self.shared.metrics)
+        Arc::clone(&self.shared.pool.metrics)
     }
 
     /// Worker (shard) count, healthy or not.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.shared.health.len()
+        self.shared.pool.health.len()
     }
 
     /// Workers still in service (not quarantined by a detector event).
     #[must_use]
     pub fn healthy_workers(&self) -> usize {
-        self.shared
-            .health
-            .iter()
-            .filter(|h| h.load(Ordering::Acquire))
-            .count()
+        self.shared.healthy_workers()
     }
 
     /// Starts the std-only HTTP scrape server on `addr`, exposing
@@ -723,7 +762,7 @@ struct HandleSource {
 
 impl ScrapeSource for HandleSource {
     fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.shared.obs)
+        Arc::clone(&self.shared.pool.obs)
     }
 
     fn clock_hz(&self) -> f64 {
@@ -731,18 +770,13 @@ impl ScrapeSource for HandleSource {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.shared.metrics.snapshot().exporter_counters()
+        self.shared.pool.metrics.snapshot().exporter_counters()
     }
 
     fn workers(&self) -> WorkerCensus {
         WorkerCensus {
-            total: self.shared.health.len(),
-            healthy: self
-                .shared
-                .health
-                .iter()
-                .filter(|h| h.load(Ordering::Acquire))
-                .count(),
+            total: self.shared.pool.health.len(),
+            healthy: self.shared.healthy_workers(),
         }
     }
 
@@ -789,7 +823,6 @@ pub struct Engine {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
-    health: Arc<Vec<AtomicBool>>,
     started: Instant,
     /// Stop flag + join handle for the telemetry sampler thread, present
     /// when [`EngineConfig::telemetry_interval`] is set.
@@ -836,20 +869,26 @@ impl Engine {
         } else {
             None
         };
-        let pool_shared = Arc::new(PoolShared {
+        // Inline serving needs every worker slot clean: a slot with a
+        // fault plan exists to be exercised, so its engine keeps all
+        // traffic on the pool.
+        let inline_tables = tables
+            .clone()
+            .filter(|_| config.fault_tolerance.plans.iter().all(FaultPlan::is_empty));
+        let pool = Arc::new(PoolShared {
             config: config.nacu,
             max_coalesced_requests: config.max_coalesced_requests.max(1),
             fault: config.fault_tolerance,
-            queue: Arc::clone(&queue),
+            queue,
             metrics: Arc::clone(&metrics),
             obs: Arc::clone(&obs),
             health: Arc::clone(&health),
             tables,
             executor: config.executor.resolve(),
             replicate_tables: config.table_replicas.unwrap_or(workers > 1),
-            recorder: recorder.clone(),
+            recorder,
         });
-        let handles = pool::spawn_workers(&pool_shared);
+        let handles = pool::spawn_workers(&pool);
         let telemetry = config.telemetry_interval.map(|interval| {
             Arc::new(Telemetry::new(
                 nacu_obs::DEFAULT_SAMPLE_CAPACITY,
@@ -862,26 +901,22 @@ impl Engine {
         let sampler = telemetry.as_ref().map(|telemetry| {
             spawn_sampler(
                 Arc::clone(telemetry),
-                Arc::clone(&obs),
-                Arc::clone(&metrics),
+                obs,
+                metrics,
                 Arc::clone(&sampler_stop),
             )
         });
         Ok(Self {
             shared: Arc::new(Shared {
-                queue,
-                metrics,
-                obs,
-                health: Arc::clone(&health),
+                pool,
+                inline_tables,
                 format,
                 default_deadline: config.default_deadline,
                 next_request_id: AtomicU64::new(0),
-                recorder,
                 telemetry,
             }),
             handles,
             workers,
-            health,
             started: Instant::now(),
             sampler_stop,
             sampler,
@@ -911,10 +946,7 @@ impl Engine {
     /// Workers still in service (not quarantined by a detector event).
     #[must_use]
     pub fn healthy_workers(&self) -> usize {
-        self.health
-            .iter()
-            .filter(|h| h.load(Ordering::Acquire))
-            .count()
+        self.shared.healthy_workers()
     }
 
     /// Submits through an implicit handle (see [`EngineHandle::submit`]).
@@ -929,13 +961,13 @@ impl Engine {
     /// Live counter snapshot, without stopping anything.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.pool.metrics.snapshot()
     }
 
     /// The engine's live observability surface (see [`EngineHandle::obs`]).
     #[must_use]
     pub fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.shared.obs)
+        Arc::clone(&self.shared.pool.obs)
     }
 
     /// The engine's windowed-telemetry plane (see
@@ -948,7 +980,7 @@ impl Engine {
     /// A coherent point-in-time observability snapshot.
     #[must_use]
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        self.shared.obs.snapshot()
+        self.shared.pool.obs.snapshot()
     }
 
     /// Throughput over the interval since `baseline` was snapshotted at
@@ -993,7 +1025,7 @@ impl Engine {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.shared.queue.close();
+        self.shared.pool.queue.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }

@@ -41,8 +41,6 @@ pub struct EngineMetrics {
     net_quota_limited: AtomicU64,
     net_protocol_errors: AtomicU64,
     async_wakers_registered: AtomicU64,
-    async_spurious_wakeups: AtomicU64,
-    async_dispatcher_batches: AtomicU64,
     replay_records_captured: AtomicU64,
     replay_records_dropped: AtomicU64,
     replay_requests_replayed: AtomicU64,
@@ -150,24 +148,10 @@ impl EngineMetrics {
         self.net_protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    // The async_* counters watch the waker-based completion plane: a
-    // `CompletionSet` records registrations and spurious wakeups, and
-    // each reply dispatcher records its drain batches.
-
-    /// A waker was armed on an in-flight ticket (re-arms included).
+    /// A front-end armed a reply waker on a ticket still in flight: its
+    /// reply is written by the thread that completes it.
     pub fn record_async_waker_registered(&self) {
         self.async_wakers_registered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A parked driver woke with nothing completed (poke or stale key).
-    pub fn record_async_spurious_wakeup(&self) {
-        self.async_spurious_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One dispatcher drain that flushed ≥ 1 completed replies.
-    pub fn record_async_dispatcher_batch(&self) {
-        self.async_dispatcher_batches
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     // The replay_* counters watch the record/replay harness: the engine
@@ -262,8 +246,6 @@ impl EngineMetrics {
             net_quota_limited: self.net_quota_limited.load(Ordering::Relaxed),
             net_protocol_errors: self.net_protocol_errors.load(Ordering::Relaxed),
             async_wakers_registered: self.async_wakers_registered.load(Ordering::Relaxed),
-            async_spurious_wakeups: self.async_spurious_wakeups.load(Ordering::Relaxed),
-            async_dispatcher_batches: self.async_dispatcher_batches.load(Ordering::Relaxed),
             replay_records_captured: self.replay_records_captured.load(Ordering::Relaxed),
             replay_records_dropped: self.replay_records_dropped.load(Ordering::Relaxed),
             replay_requests_replayed: self.replay_requests_replayed.load(Ordering::Relaxed),
@@ -336,12 +318,8 @@ pub struct MetricsSnapshot {
     pub net_quota_limited: u64,
     /// Malformed frames observed on sockets (connection then closed).
     pub net_protocol_errors: u64,
-    /// Wakers armed on in-flight tickets (completion-set registrations).
+    /// Reply wakers armed on tickets still in flight at admission.
     pub async_wakers_registered: u64,
-    /// Driver wakeups that drained nothing (pokes and stale keys).
-    pub async_spurious_wakeups: u64,
-    /// Dispatcher drains that flushed at least one completed reply.
-    pub async_dispatcher_batches: u64,
     /// Trace records fully captured (request and response halves) by the
     /// engine's recorder, when one is configured.
     pub replay_records_captured: u64,
@@ -417,14 +395,6 @@ impl MetricsSnapshot {
             (
                 "nacu_async_wakers_registered_total",
                 self.async_wakers_registered,
-            ),
-            (
-                "nacu_async_spurious_wakeups_total",
-                self.async_spurious_wakeups,
-            ),
-            (
-                "nacu_async_dispatcher_batches_total",
-                self.async_dispatcher_batches,
             ),
             (
                 "nacu_replay_records_captured_total",
@@ -510,12 +480,6 @@ impl MetricsSnapshot {
             async_wakers_registered: self
                 .async_wakers_registered
                 .saturating_sub(earlier.async_wakers_registered),
-            async_spurious_wakeups: self
-                .async_spurious_wakeups
-                .saturating_sub(earlier.async_spurious_wakeups),
-            async_dispatcher_batches: self
-                .async_dispatcher_batches
-                .saturating_sub(earlier.async_dispatcher_batches),
             replay_records_captured: self
                 .replay_records_captured
                 .saturating_sub(earlier.replay_records_captured),
@@ -588,14 +552,14 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.drift_alarms, 1);
         let counters = s.exporter_counters();
-        assert_eq!(counters.len(), 30);
+        assert_eq!(counters.len(), 28);
         assert!(counters
             .iter()
             .any(|&(n, v)| n == "nacu_engine_drift_alarms_total" && v == 1));
         let mut names: Vec<&str> = counters.iter().map(|&(n, _)| n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 30, "exporter names are unique");
+        assert_eq!(names.len(), 28, "exporter names are unique");
     }
 
     #[test]
@@ -635,28 +599,16 @@ mod tests {
         let m = EngineMetrics::new();
         m.record_async_waker_registered();
         m.record_async_waker_registered();
-        m.record_async_spurious_wakeup();
-        m.record_async_dispatcher_batch();
         let s = m.snapshot();
         assert_eq!(s.async_wakers_registered, 2);
-        assert_eq!(s.async_spurious_wakeups, 1);
-        assert_eq!(s.async_dispatcher_batches, 1);
-        let counters = s.exporter_counters();
-        for (name, want) in [
-            ("nacu_async_wakers_registered_total", 2),
-            ("nacu_async_spurious_wakeups_total", 1),
-            ("nacu_async_dispatcher_batches_total", 1),
-        ] {
-            assert!(
-                counters.iter().any(|&(n, v)| n == name && v == want),
-                "{name} missing or wrong"
-            );
-        }
+        assert!(s
+            .exporter_counters()
+            .iter()
+            .any(|&(n, v)| n == "nacu_async_wakers_registered_total" && v == 2));
         let early = s;
-        m.record_async_dispatcher_batch();
+        m.record_async_waker_registered();
         let d = m.snapshot().since(&early);
-        assert_eq!(d.async_dispatcher_batches, 1);
-        assert_eq!(d.async_wakers_registered, 0);
+        assert_eq!(d.async_wakers_registered, 1);
     }
 
     #[test]

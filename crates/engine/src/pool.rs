@@ -26,18 +26,19 @@
 //!    queue, answers everything with `NoHealthyWorkers`, and closes the
 //!    queue so new submissions fail fast at the door.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use nacu::{NacuConfig, ResponseTables};
+use nacu::{Function, NacuConfig, ResponseTable, ResponseTables};
 use nacu_faults::{CheckedError, CheckedNacu, FaultEvent};
 use nacu_obs::{Obs, Stage, TraceKind};
 use nacu_replay::Recorder;
 
 use crate::batch::{scalar_function, Request, RequestError, Response};
-use crate::executor::{table_executor, BatchExecutor, DatapathWalk, ExecutorKind};
+use crate::executor::{table_executor, BatchExecutor, DatapathWalk, ExecutorKind, TableExecutor};
 use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Coalesce, PushError};
 use crate::report::{modeled_batch_cycles, modeled_checked_batch_cycles};
@@ -73,6 +74,15 @@ impl Coalesce for Job {
     }
 }
 
+/// A serving thread's reusable buffers: the popped batch, its unexpired
+/// jobs, and the shadow-sampling plan — (job, operand, pre-overwrite x).
+#[derive(Default)]
+struct Scratch {
+    jobs: Vec<Job>,
+    live: Vec<Job>,
+    samples: Vec<(usize, usize, f64)>,
+}
+
 /// Saturating nanoseconds of a duration (a serving interval never
 /// realistically exceeds u64 ns ≈ 584 years, but the cast must not wrap).
 fn as_ns(d: std::time::Duration) -> u64 {
@@ -80,6 +90,7 @@ fn as_ns(d: std::time::Duration) -> u64 {
 }
 
 /// Everything a worker thread shares with the pool.
+#[derive(Debug)]
 pub(crate) struct PoolShared {
     pub(crate) config: NacuConfig,
     pub(crate) max_coalesced_requests: usize,
@@ -159,14 +170,12 @@ fn run_worker(worker: usize, shared: &PoolShared) {
         None
     };
     let mut batches_served: u64 = 0;
-    // Worker-owned scratch buffers: every batch is popped into and served
-    // from the same Vecs, so the steady-state loop never allocates.
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut live: Vec<Job> = Vec::new();
-    let mut samples: Vec<(usize, usize, f64)> = Vec::new();
+    // Every batch is popped into and served from the same scratch Vecs,
+    // so the steady-state loop never allocates.
+    let mut scratch = Scratch::default();
     while shared
         .queue
-        .pop_batch_into(shared.max_coalesced_requests, &mut jobs)
+        .pop_batch_into(shared.max_coalesced_requests, &mut scratch.jobs)
     {
         // Periodic BIST scrub: walk the σ segment ladder before taking
         // more work, catching ROM corruption the workload's addresses
@@ -179,19 +188,11 @@ fn run_worker(worker: usize, shared: &PoolShared) {
                 worker: worker as u32,
             });
             if let Err(event) = unit.scrub() {
-                quarantine(worker, event, std::mem::take(&mut jobs), shared);
+                quarantine(worker, event, std::mem::take(&mut scratch.jobs), shared);
                 return;
             }
         }
-        match serve_batch(
-            worker,
-            &unit,
-            tables,
-            &mut jobs,
-            &mut live,
-            &mut samples,
-            shared,
-        ) {
+        match serve_batch(worker, &unit, tables, &mut scratch, shared) {
             Ok(()) => batches_served += 1,
             Err((event, stranded)) => {
                 quarantine(worker, event, stranded, shared);
@@ -261,46 +262,248 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
     }
 }
 
-/// Serves one coalesced batch from the `jobs` scratch buffer, using
-/// `live` as the post-expiry scratch (both are drained on return, so the
-/// caller can reuse them allocation-free). On a detector event, returns
-/// the batch's still-unanswered jobs so the caller can re-route them —
-/// partial results from the flagged unit are discarded, never sent.
-///
-/// When `tables` is given, σ/tanh/exp are served through the pool's
-/// configured table [`BatchExecutor`] — bit-identical by construction
-/// (the tables were built by the golden datapath) and infallible, so
-/// outputs overwrite the request's operand buffer in place and the
-/// buffer itself becomes the response: the fast path allocates nothing
-/// per operand or per request. Softmax keeps the datapath divider and
-/// draws its exp stage from the table. Without tables, the
-/// [`DatapathWalk`] executor computes into fresh buffers so a mid-batch
-/// detector event leaves every operand buffer pristine for the retry
-/// path.
-///
-/// `samples` is the worker's shadow-sampling scratch: the plan (which
-/// operands to sample, and their pre-overwrite values) is laid out
-/// before execution and observed against the served outputs afterwards,
-/// keeping the executors' gather loops free of sampling branches.
+/// Serves one coalesced batch from `scratch.jobs`: σ/tanh/exp through
+/// [`serve_unary`] — from the response table when the worker has one,
+/// along its checked datapath otherwise — and softmax through
+/// [`serve_softmax`]. On a detector event, returns the batch's
+/// still-unanswered jobs so the caller can re-route them — partial
+/// results from the flagged unit are discarded, never sent.
 fn serve_batch(
     worker: usize,
     unit: &CheckedNacu,
     tables: Option<&ResponseTables>,
-    jobs: &mut Vec<Job>,
-    live: &mut Vec<Job>,
-    samples: &mut Vec<(usize, usize, f64)>,
+    scratch: &mut Scratch,
     shared: &PoolShared,
 ) -> Result<(), (FaultEvent, Vec<Job>)> {
+    let Some(function) = scratch.jobs.first().map(|job| job.request.function) else {
+        return Ok(());
+    };
+    if !scalar_function(function) {
+        let exp_table = tables.map(ResponseTables::exp);
+        return serve_softmax(worker, unit, exp_table, scratch, shared);
+    }
+    let exec = match tables.and_then(|t| t.get(function)) {
+        Some(table) => Unary::Table(table_executor(shared.executor, table)),
+        None => Unary::Datapath(DatapathWalk::new(unit, function)),
+    };
+    serve_unary(worker, &exec, scratch, shared)
+}
+
+/// Serves one table-backed σ/tanh/exp request on the calling thread:
+/// [`crate::EngineHandle::submit`]'s inline path, running the very
+/// [`serve_unary`] steps a worker runs, over a one-job batch. Its trace
+/// events and [`Response::worker`] carry the pool size as worker index —
+/// one past the last pool worker. The scratch buffers are thread-local,
+/// so a steady stream of submissions allocates nothing beyond the ticket.
+pub(crate) fn serve_inline(shared: &PoolShared, table: &ResponseTable, job: Job) {
+    thread_local! {
+        static SCRATCH: Cell<Scratch> = Cell::default();
+    }
+    let mut scratch = SCRATCH.take();
+    scratch.jobs.push(job);
+    let gather = Unary::Table(table_executor(shared.executor, table));
+    if let Err((event, _)) = serve_unary(shared.health.len(), &gather, &mut scratch, shared) {
+        unreachable!("table gathers are infallible: {event}");
+    }
+    SCRATCH.set(scratch);
+}
+
+/// How a unary batch computes its outputs.
+enum Unary<'a> {
+    /// The configured table [`BatchExecutor`]: bit-identical by
+    /// construction (the tables were built by the golden datapath) and
+    /// infallible, so outputs overwrite each operand buffer in place and
+    /// the buffer itself becomes the response — nothing is allocated per
+    /// operand or per request.
+    Table(TableExecutor<'a>),
+    /// The worker's checked datapath, into a fresh buffer per job, so a
+    /// mid-batch detector event leaves every operand buffer pristine for
+    /// the retry path.
+    Datapath(DatapathWalk<'a>),
+}
+
+/// The unary-batch steps every serving thread shares — a worker over a
+/// coalesced batch, [`serve_inline`] over one submitted request:
+/// deadline expiry, queue-wait and service stages, shadow sampling,
+/// cycle and counter accounting, trace events, trace-record completion
+/// and the replies.
+///
+/// The shadow-sampling plan (which operands to sample, and their
+/// pre-overwrite values) is laid out in `scratch.samples` before
+/// execution and observed against the served outputs afterwards, keeping
+/// the executors' gather loops free of sampling branches.
+fn serve_unary(
+    worker: usize,
+    exec: &Unary<'_>,
+    scratch: &mut Scratch,
+    shared: &PoolShared,
+) -> Result<(), (FaultEvent, Vec<Job>)> {
+    let Some(function) = take_live(worker, scratch, shared) else {
+        return Ok(());
+    };
+    let Scratch { live, samples, .. } = scratch;
     let metrics = &shared.metrics;
     let obs = &shared.obs;
-    // Expire stale jobs up front so they neither cost datapath work nor
-    // inflate the fused batch.
-    let now = Instant::now();
+    // One fused pipelined pass over every live request's operands.
+    let batch_ops: usize = live.iter().map(|j| j.request.operands.len()).sum();
+    obs.record_trace(TraceKind::BatchStart {
+        worker: worker as u32,
+        function,
+        ops: batch_ops as u32,
+    });
+    // Shadow-sampling plan for this batch: one relaxed fetch_add on the
+    // shared decimation tick buys the whole batch's quota, then the quota
+    // is spread evenly over the batch by striding — (job, operand,
+    // pre-overwrite x).
+    let health = obs.health();
+    let sample_quota = health.batch_quota(batch_ops as u64);
+    let sample_stride = (batch_ops as u64)
+        .checked_div(sample_quota)
+        .map_or(0, |s| s.max(1));
+    samples.clear();
+    if sample_quota > 0 {
+        let mut next: u64 = 0;
+        let mut base: u64 = 0;
+        'plan: for (job_index, job) in live.iter().enumerate() {
+            let len = job.request.operands.len() as u64;
+            while next < base + len {
+                let operand = (next - base) as usize;
+                samples.push((job_index, operand, job.request.operands[operand].to_f64()));
+                if samples.len() as u64 >= sample_quota {
+                    break 'plan;
+                }
+                next += sample_stride;
+            }
+            base += len;
+        }
+    }
+    let service_start = Instant::now();
+    // `None` = served in place; `Some` = datapath outputs, one per job.
+    let outputs_per_job = match exec {
+        Unary::Table(gather) => {
+            for job in live.iter_mut() {
+                gather
+                    .execute(&mut job.request.operands)
+                    .expect("table executors are infallible");
+            }
+            metrics.record_fast_path_ops(batch_ops as u64);
+            if gather.kind().vectorized() {
+                metrics.record_fast_path_chunked_ops(batch_ops as u64);
+            }
+            None
+        }
+        Unary::Datapath(walk) => {
+            let mut per_job = Vec::with_capacity(live.len());
+            for job in live.iter() {
+                let mut outputs = job.request.operands.clone();
+                if let Err(event) = walk.execute(&mut outputs) {
+                    return Err((event, std::mem::take(live)));
+                }
+                per_job.push(outputs);
+            }
+            Some(per_job)
+        }
+    };
+    // Observe the sampled (x, y) pairs against the f64 shadow reference,
+    // reading y from wherever the outputs landed.
+    for &(job_index, operand, x) in samples.iter() {
+        let y = match &outputs_per_job {
+            None => live[job_index].request.operands[operand],
+            Some(per_job) => per_job[job_index][operand],
+        };
+        if let Some(alarm) = health.observe(function, x, y.to_f64()) {
+            metrics.record_drift_alarm();
+            obs.record_trace(TraceKind::DriftAlarm {
+                worker: worker as u32,
+                function,
+                kind: alarm.kind,
+            });
+        }
+    }
+    let service_ns = as_ns(service_start.elapsed());
+    finish_batch(worker, function, live.len(), batch_ops, service_ns, shared);
+    match outputs_per_job {
+        None => {
+            for job in live.iter_mut() {
+                let outputs = std::mem::take(&mut job.request.operands);
+                reply(worker, job, outputs, batch_ops, shared);
+            }
+        }
+        Some(per_job) => {
+            for (job, outputs) in live.iter_mut().zip(per_job) {
+                reply(worker, job, outputs, batch_ops, shared);
+            }
+        }
+    }
     live.clear();
-    for mut job in jobs.drain(..) {
+    Ok(())
+}
+
+/// Serves softmax jobs one vector at a time (softmax never coalesces, so
+/// this is a singleton batch). With `exp_table`, the exp stage comes from
+/// the table and feeds the unchanged divider passes — bit-identical
+/// because the post-exp work-format resize is exact for values in
+/// [0, 1]; without it, the worker's checked unit walks the whole vector.
+fn serve_softmax(
+    worker: usize,
+    unit: &CheckedNacu,
+    exp_table: Option<&ResponseTable>,
+    scratch: &mut Scratch,
+    shared: &PoolShared,
+) -> Result<(), (FaultEvent, Vec<Job>)> {
+    let Some(function) = take_live(worker, scratch, shared) else {
+        return Ok(());
+    };
+    let live = &mut scratch.live;
+    for index in 0..live.len() {
+        let n = live[index].request.operands.len();
+        shared.obs.record_trace(TraceKind::BatchStart {
+            worker: worker as u32,
+            function,
+            ops: n as u32,
+        });
+        let service_start = Instant::now();
+        let operands = &live[index].request.operands;
+        let outputs = if let Some(table) = exp_table {
+            // Infallible: the golden unit has no detectors to trip.
+            let outputs = unit
+                .golden()
+                .softmax_with(operands, |x| table.lookup(x))
+                .expect("submit validated the vector");
+            shared.metrics.record_fast_path_ops(n as u64);
+            outputs
+        } else {
+            match unit.softmax(operands) {
+                Ok(outputs) => outputs,
+                Err(CheckedError::Fault(event)) => {
+                    return Err((event, live.drain(index..).collect()));
+                }
+                Err(CheckedError::Nacu(e)) => {
+                    unreachable!("submit validated the vector: {e}")
+                }
+            }
+        };
+        let service_ns = as_ns(service_start.elapsed());
+        finish_batch(worker, function, 1, n, service_ns, shared);
+        reply(worker, &mut live[index], outputs, n, shared);
+    }
+    live.clear();
+    Ok(())
+}
+
+/// Moves the unexpired jobs of `scratch.jobs` into `scratch.live`,
+/// answering the expired ones, so they neither cost datapath work nor
+/// inflate the fused batch. Pickup marks the end of every live job's
+/// queue wait. Returns the batch's function, `None` if nothing is live.
+fn take_live(worker: usize, scratch: &mut Scratch, shared: &PoolShared) -> Option<Function> {
+    let obs = &shared.obs;
+    let now = Instant::now();
+    let live = &mut scratch.live;
+    live.clear();
+    for mut job in scratch.jobs.drain(..) {
         if job.request.deadline.is_some_and(|d| d < now) {
             abandon_record(shared, job.record);
-            metrics.record_expired();
+            shared.metrics.record_expired();
             obs.record_trace(TraceKind::Expired {
                 req: job.id,
                 function: job.request.function,
@@ -310,12 +513,7 @@ fn serve_batch(
             live.push(job);
         }
     }
-    let Some(first) = live.first() else {
-        return Ok(());
-    };
-    let function = first.request.function;
-
-    // Pickup marks the end of every live job's queue wait.
+    let function = live.first()?.request.function;
     for job in live.iter() {
         obs.record_latency(
             Stage::QueueWait,
@@ -329,243 +527,74 @@ fn serve_batch(
             requests: live.len() as u32,
         });
     }
+    Some(function)
+}
 
-    // Metrics are recorded BEFORE any reply is sent: a client observing
-    // its response must also observe the counters that account for it.
-    if scalar_function(function) {
-        // One fused pipelined pass over every live request's operands.
-        let batch_ops: usize = live.iter().map(|j| j.request.operands.len()).sum();
-        let batch_cycles = modeled_batch_cycles(function, batch_ops);
-        obs.record_trace(TraceKind::BatchStart {
-            worker: worker as u32,
-            function,
-            ops: batch_ops as u32,
-        });
-        // Shadow-sampling plan for this batch: one relaxed fetch_add on
-        // the shared decimation tick buys the whole batch's quota, then
-        // the quota is spread evenly over the batch by striding. The
-        // plan is laid out up front — (job, operand, pre-overwrite x) —
-        // and checked against the outputs after execution, so the
-        // executors' gather loops carry no sampling branch at all.
-        let health = obs.health();
-        let sample_quota = health.batch_quota(batch_ops as u64);
-        let sample_stride = (batch_ops as u64)
-            .checked_div(sample_quota)
-            .map_or(0, |s| s.max(1));
-        samples.clear();
-        if sample_quota > 0 {
-            let mut next: u64 = 0;
-            let mut base: u64 = 0;
-            'plan: for (job_index, job) in live.iter().enumerate() {
-                let len = job.request.operands.len() as u64;
-                while next < base + len {
-                    let operand = (next - base) as usize;
-                    samples.push((job_index, operand, job.request.operands[operand].to_f64()));
-                    if samples.len() as u64 >= sample_quota {
-                        break 'plan;
-                    }
-                    next += sample_stride;
-                }
-                base += len;
-            }
-        }
-        let service_start = Instant::now();
-        // `None` = fast path served in place; `Some` = datapath outputs,
-        // one fresh buffer per job (kept fresh so retries see pristine
-        // operands after a mid-batch detector event).
-        let outputs_per_job = if let Some(table) = tables.and_then(|t| t.get(function)) {
-            // Fast path: the configured table executor rewrites each
-            // operand buffer in place. Infallible — the table carries
-            // the golden datapath's own answers.
-            let gather = table_executor(shared.executor, table);
-            for job in live.iter_mut() {
-                gather
-                    .execute(&mut job.request.operands)
-                    .expect("table executors are infallible");
-            }
-            metrics.record_fast_path_ops(batch_ops as u64);
-            if gather.kind().vectorized() {
-                metrics.record_fast_path_chunked_ops(batch_ops as u64);
-            }
-            None
-        } else {
-            // Datapath walk through the worker's checked unit, into a
-            // fresh copy of each operand buffer; a detector event
-            // discards the batch's partial outputs and leaves every
-            // request pristine for the retry path.
-            let walk = DatapathWalk::new(unit, function);
-            let mut per_job = Vec::with_capacity(live.len());
-            let mut fault = None;
-            for job in live.iter() {
-                let mut outputs = job.request.operands.clone();
-                match walk.execute(&mut outputs) {
-                    Ok(()) => per_job.push(outputs),
-                    Err(event) => {
-                        fault = Some(event);
-                        break;
-                    }
-                }
-            }
-            if let Some(event) = fault {
-                return Err((event, std::mem::take(live)));
-            }
-            Some(per_job)
-        };
-        // Observe the sampled (x, y) pairs against the f64 shadow
-        // reference, reading y from wherever the outputs landed.
-        for &(job_index, operand, x) in samples.iter() {
-            let y = match &outputs_per_job {
-                None => live[job_index].request.operands[operand],
-                Some(per_job) => per_job[job_index][operand],
-            };
-            if let Some(alarm) = health.observe(function, x, y.to_f64()) {
-                metrics.record_drift_alarm();
-                obs.record_trace(TraceKind::DriftAlarm {
-                    worker: worker as u32,
-                    function,
-                    kind: alarm.kind,
-                });
-            }
-        }
-        let service_ns = as_ns(service_start.elapsed());
-        obs.record_latency(Stage::BatchService, function, service_ns);
-        obs.cycles().record_batch(
-            function,
-            batch_ops as u64,
-            batch_cycles,
-            modeled_checked_batch_cycles(function, batch_ops),
-            service_ns,
-        );
-        obs.record_trace(TraceKind::BatchEnd {
-            worker: worker as u32,
-            function,
-            ops: batch_ops as u32,
-            service_ns,
-        });
-        metrics.record_batch(function, live.len() as u64, batch_ops as u64, batch_cycles);
-        let reply = |mut job: Job, outputs: Vec<nacu_fixed::Fx>| {
-            record_reply(shared, job.record, &outputs);
-            let e2e_ns = as_ns(job.submitted_at.elapsed());
-            // Tagged so a tail-bucket request leaves an exemplar carrying
-            // its request id and connection.
-            obs.record_latency_tagged(
-                Stage::EndToEnd,
-                function,
-                e2e_ns,
-                job.id,
-                job.request.client,
-            );
-            obs.record_trace(TraceKind::Reply {
-                req: job.id,
-                conn: job.request.client,
-                worker: worker as u32,
-                function,
-                e2e_ns,
-            });
-            job.reply.complete(Ok(Response {
-                outputs,
-                worker,
-                batch_ops,
-                batch_cycles,
-            }));
-        };
-        match outputs_per_job {
-            // Fast path: the operand buffer, overwritten in place, IS the
-            // response — no buffer changes hands, nothing is allocated.
-            None => {
-                for mut job in live.drain(..) {
-                    let outputs = std::mem::take(&mut job.request.operands);
-                    reply(job, outputs);
-                }
-            }
-            Some(per_job) => {
-                for (job, outputs) in live.drain(..).zip(per_job) {
-                    reply(job, outputs);
-                }
-            }
-        }
-    } else {
-        // Softmax never coalesces, so this is a singleton batch; the loop
-        // is just the uniform way to consume `live`.
-        let exp_table = tables.map(ResponseTables::exp);
-        let mut index = 0;
-        while index < live.len() {
-            let job = &mut live[index];
-            let n = job.request.operands.len();
-            let batch_cycles = modeled_batch_cycles(function, n);
-            obs.record_trace(TraceKind::BatchStart {
-                worker: worker as u32,
-                function,
-                ops: n as u32,
-            });
-            let service_start = Instant::now();
-            let outputs = if let Some(table) = exp_table {
-                // Table-served exp stage feeding the unchanged divider
-                // passes — bit-identical because the post-exp work-format
-                // resize is exact for values in [0, 1]. Infallible: the
-                // golden unit has no detectors to trip.
-                let outputs = unit
-                    .golden()
-                    .softmax_with(&job.request.operands, |x| table.lookup(x))
-                    .expect("submit validated the vector");
-                metrics.record_fast_path_ops(n as u64);
-                outputs
-            } else {
-                match unit.softmax(&job.request.operands) {
-                    Ok(outputs) => outputs,
-                    Err(CheckedError::Fault(event)) => {
-                        return Err((event, live.drain(index..).collect()));
-                    }
-                    Err(CheckedError::Nacu(e)) => {
-                        unreachable!("submit validated the vector: {e}")
-                    }
-                }
-            };
-            let service_ns = as_ns(service_start.elapsed());
-            obs.record_latency(Stage::BatchService, function, service_ns);
-            obs.cycles().record_batch(
-                function,
-                n as u64,
-                batch_cycles,
-                modeled_checked_batch_cycles(function, n),
-                service_ns,
-            );
-            obs.record_trace(TraceKind::BatchEnd {
-                worker: worker as u32,
-                function,
-                ops: n as u32,
-                service_ns,
-            });
-            metrics.record_batch(function, 1, n as u64, batch_cycles);
-            record_reply(shared, job.record, &outputs);
-            let e2e_ns = as_ns(job.submitted_at.elapsed());
-            // Tagged so a tail-bucket request leaves an exemplar carrying
-            // its request id and connection.
-            obs.record_latency_tagged(
-                Stage::EndToEnd,
-                function,
-                e2e_ns,
-                job.id,
-                job.request.client,
-            );
-            obs.record_trace(TraceKind::Reply {
-                req: job.id,
-                conn: job.request.client,
-                worker: worker as u32,
-                function,
-                e2e_ns,
-            });
-            job.reply.complete(Ok(Response {
-                outputs,
-                worker,
-                batch_ops: n,
-                batch_cycles,
-            }));
-            index += 1;
-        }
-        live.clear();
-    }
-    Ok(())
+/// Accounts one served batch. Metrics are recorded BEFORE any reply is
+/// sent: a client observing its response must also observe the counters
+/// that account for it.
+fn finish_batch(
+    worker: usize,
+    function: Function,
+    requests: usize,
+    ops: usize,
+    service_ns: u64,
+    shared: &PoolShared,
+) {
+    let obs = &shared.obs;
+    let batch_cycles = modeled_batch_cycles(function, ops);
+    obs.record_latency(Stage::BatchService, function, service_ns);
+    obs.cycles().record_batch(
+        function,
+        ops as u64,
+        batch_cycles,
+        modeled_checked_batch_cycles(function, ops),
+        service_ns,
+    );
+    obs.record_trace(TraceKind::BatchEnd {
+        worker: worker as u32,
+        function,
+        ops: ops as u32,
+        service_ns,
+    });
+    shared
+        .metrics
+        .record_batch(function, requests as u64, ops as u64, batch_cycles);
+}
+
+/// Completes one served job: its trace record, its end-to-end latency
+/// (tagged, so a tail-bucket request leaves an exemplar carrying its
+/// request id and connection), its reply trace event, and its ticket.
+fn reply(
+    worker: usize,
+    job: &mut Job,
+    outputs: Vec<nacu_fixed::Fx>,
+    batch_ops: usize,
+    shared: &PoolShared,
+) {
+    let function = job.request.function;
+    record_reply(shared, job.record, &outputs);
+    let e2e_ns = as_ns(job.submitted_at.elapsed());
+    shared.obs.record_latency_tagged(
+        Stage::EndToEnd,
+        function,
+        e2e_ns,
+        job.id,
+        job.request.client,
+    );
+    shared.obs.record_trace(TraceKind::Reply {
+        req: job.id,
+        conn: job.request.client,
+        worker: worker as u32,
+        function,
+        e2e_ns,
+    });
+    job.reply.complete(Ok(Response {
+        outputs,
+        worker,
+        batch_ops,
+        batch_cycles: modeled_batch_cycles(function, batch_ops),
+    }));
 }
 
 #[cfg(test)]
@@ -605,10 +634,11 @@ mod tests {
         jobs: Vec<Job>,
         s: &PoolShared,
     ) -> Result<(), (FaultEvent, Vec<Job>)> {
-        let mut jobs = jobs;
-        let mut live = Vec::new();
-        let mut samples = Vec::new();
-        serve_batch(worker, unit, tables, &mut jobs, &mut live, &mut samples, s)
+        let mut scratch = Scratch {
+            jobs,
+            ..Scratch::default()
+        };
+        serve_batch(worker, unit, tables, &mut scratch, s)
     }
 
     fn job(shared: &PoolShared, v: f64) -> (Job, crate::Ticket) {

@@ -174,6 +174,12 @@ impl<T> BoundedQueue<T> {
         self.high_water.load(Ordering::Relaxed)
     }
 
+    /// Whether [`BoundedQueue::close`] has been called.
+    #[must_use]
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
     /// Closes the queue: future pushes fail, consumers drain then stop.
     ///
     /// Waits out pushes already past their closed-check, so when this

@@ -18,10 +18,10 @@
 //!   via `IntoFuture`), so any executor can drive engine requests.
 //! * [`block_on`] / [`block_on_deadline`] — a std-only parker executor;
 //!   `Ticket::wait` is now a thin wrapper over it.
-//! * [`CompletionSet`] — a reactor multiplexing many in-flight tickets
-//!   onto **one** driver thread: register N tickets, park once, drain
-//!   every completed id. The network plane's fixed dispatcher pool is
-//!   built on it.
+//!
+//! Any other [`Waker`] works too: the network plane registers one per
+//! in-flight ticket that writes the reply on the thread that completes
+//! it.
 //!
 //! # State machine
 //!
@@ -46,17 +46,15 @@
 //! side the state machine currently grants exclusive access.
 
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
-use std::future::{Future, IntoFuture};
+use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::Instant;
 
 use crate::batch::{RequestError, Response};
-use crate::metrics::EngineMetrics;
 use crate::{Ticket, WaitError};
 
 /// No value, no waker.
@@ -354,281 +352,10 @@ pub fn block_on_deadline<F: Future>(future: F, deadline: Instant) -> Option<F::O
     }
 }
 
-/// Keys pushed by completion wakers, drained by the driver thread.
-#[derive(Debug)]
-struct ReadyInner {
-    keys: Vec<u64>,
-    poked: bool,
-}
-
-#[derive(Debug)]
-struct ReadyList {
-    inner: Mutex<ReadyInner>,
-    wake: Condvar,
-    /// True once a [`CompletionNotifier`] exists: an empty set may then
-    /// park in `wait_completed` (a poke can always arrive); without one,
-    /// waiting on an empty set returns immediately rather than hanging.
-    pokeable: AtomicBool,
-}
-
-/// Wakes a [`CompletionSet`] driver parked in `wait_completed` without
-/// completing anything — the way an event loop learns it has new tickets
-/// to register (or should re-check a stop flag). Clone + `Send`, so any
-/// producer thread can hold one.
-#[derive(Clone)]
-pub struct CompletionNotifier {
-    ready: Arc<ReadyList>,
-}
-
-impl std::fmt::Debug for CompletionNotifier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompletionNotifier").finish()
-    }
-}
-
-impl CompletionNotifier {
-    /// Unparks the driver; its `wait_completed` returns (possibly with 0
-    /// completions).
-    pub fn notify(&self) {
-        let mut inner = self.ready.inner.lock().expect("ready lock");
-        inner.poked = true;
-        self.ready.wake.notify_all();
-    }
-}
-
-/// Per-ticket waker: completion pushes the ticket's key and unparks the
-/// driver. Waking after the set dropped the ticket is harmless — the
-/// unknown key is counted spurious and skipped.
-struct KeyWaker {
-    key: u64,
-    ready: Arc<ReadyList>,
-}
-
-impl Wake for KeyWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let mut inner = self.ready.inner.lock().expect("ready lock");
-        inner.keys.push(self.key);
-        self.ready.wake.notify_all();
-    }
-}
-
-/// A reactor multiplexing many in-flight [`Ticket`]s onto one driver
-/// thread: insert N tickets under caller-chosen keys, park once in
-/// [`CompletionSet::wait_completed`], drain every completed id. This is
-/// what replaces one polling thread per connection in `nacu-net` — a
-/// fixed pool of drivers each owning a set.
-///
-/// Not `Sync`: one driver thread owns the set; producers reach it
-/// through its [`CompletionNotifier`] plus an external handoff (e.g. a
-/// mutexed inbox).
-#[derive(Debug)]
-pub struct CompletionSet {
-    pending: HashMap<u64, Ticket>,
-    /// Outcomes claimed at insert time (ticket already complete).
-    done: Vec<(u64, Result<Response, WaitError>)>,
-    ready: Arc<ReadyList>,
-    metrics: Option<Arc<EngineMetrics>>,
-}
-
-impl Default for CompletionSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompletionSet {
-    /// An empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            pending: HashMap::new(),
-            done: Vec::new(),
-            ready: Arc::new(ReadyList {
-                inner: Mutex::new(ReadyInner {
-                    keys: Vec::new(),
-                    poked: false,
-                }),
-                wake: Condvar::new(),
-                pokeable: AtomicBool::new(false),
-            }),
-            metrics: None,
-        }
-    }
-
-    /// Counts waker registrations and spurious wakeups on `metrics`
-    /// (`async_*` counters), so a scrape sees the reply plane's health.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<EngineMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// A handle that can unpark `wait_completed` from other threads.
-    /// Once one exists, waiting on an empty set parks until poked
-    /// instead of returning immediately — the event-loop shape.
-    #[must_use]
-    pub fn notifier(&self) -> CompletionNotifier {
-        self.ready.pokeable.store(true, Ordering::Release);
-        CompletionNotifier {
-            ready: Arc::clone(&self.ready),
-        }
-    }
-
-    /// Tickets still awaiting completion.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pending.len() + self.done.len()
-    }
-
-    /// True when no ticket is in flight or claimable.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty() && self.done.is_empty()
-    }
-
-    /// Registers `ticket` under `key` (keys must be unique while in
-    /// flight; the engine's monotonic `request_id` is the natural
-    /// choice). If the ticket already completed, the outcome is claimed
-    /// now and surfaces on the next drain without any wakeup.
-    pub fn insert(&mut self, key: u64, ticket: Ticket) {
-        debug_assert!(
-            !self.pending.contains_key(&key),
-            "duplicate in-flight key {key}"
-        );
-        let waker = Waker::from(Arc::new(KeyWaker {
-            key,
-            ready: Arc::clone(&self.ready),
-        }));
-        let mut future = ticket.into_future();
-        match Pin::new(&mut future).poll(&mut Context::from_waker(&waker)) {
-            Poll::Ready(outcome) => self.done.push((key, outcome)),
-            Poll::Pending => {
-                if let Some(metrics) = &self.metrics {
-                    metrics.record_async_waker_registered();
-                }
-                self.pending.insert(key, future.into_inner());
-            }
-        }
-    }
-
-    /// Drains every completed ticket without blocking; returns how many
-    /// `(key, outcome)` pairs were appended to `out`.
-    pub fn try_completed(&mut self, out: &mut Vec<(u64, Result<Response, WaitError>)>) -> usize {
-        let keys = std::mem::take(&mut self.ready.inner.lock().expect("ready lock").keys);
-        self.collect(keys, out)
-    }
-
-    /// Parks until at least one ticket completes or [`notify`]
-    /// (`CompletionNotifier::notify`) pokes the set, then drains every
-    /// completed ticket into `out`. Returns the number appended — 0
-    /// means poked (or the set was empty), so event loops can re-check
-    /// their inbox and stop flags.
-    pub fn wait_completed(&mut self, out: &mut Vec<(u64, Result<Response, WaitError>)>) -> usize {
-        self.wait_inner(out, None)
-    }
-
-    /// As [`CompletionSet::wait_completed`] with a timeout; 0 can also
-    /// mean the timeout elapsed.
-    pub fn wait_completed_timeout(
-        &mut self,
-        out: &mut Vec<(u64, Result<Response, WaitError>)>,
-        timeout: std::time::Duration,
-    ) -> usize {
-        self.wait_inner(out, Some(Instant::now() + timeout))
-    }
-
-    fn wait_inner(
-        &mut self,
-        out: &mut Vec<(u64, Result<Response, WaitError>)>,
-        deadline: Option<Instant>,
-    ) -> usize {
-        if !self.done.is_empty() {
-            return self.collect(Vec::new(), out);
-        }
-        if self.pending.is_empty() && !self.ready.pokeable.load(Ordering::Acquire) {
-            // Nothing can ever complete or poke; parking would hang.
-            return 0;
-        }
-        let keys = {
-            let mut inner = self.ready.inner.lock().expect("ready lock");
-            loop {
-                if !inner.keys.is_empty() || inner.poked {
-                    inner.poked = false;
-                    break std::mem::take(&mut inner.keys);
-                }
-                match deadline {
-                    None => inner = self.ready.wake.wait(inner).expect("ready lock"),
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return 0;
-                        }
-                        inner = self
-                            .ready
-                            .wake
-                            .wait_timeout(inner, deadline - now)
-                            .expect("ready lock")
-                            .0;
-                    }
-                }
-            }
-        };
-        let drained = self.collect(keys, out);
-        if drained == 0 {
-            // Parked, woken, nothing to show — a poke or a stale key.
-            if let Some(metrics) = &self.metrics {
-                metrics.record_async_spurious_wakeup();
-            }
-        }
-        drained
-    }
-
-    /// Claims outcomes for `keys` (plus anything claimed at insert).
-    fn collect(
-        &mut self,
-        keys: Vec<u64>,
-        out: &mut Vec<(u64, Result<Response, WaitError>)>,
-    ) -> usize {
-        let mut drained = 0;
-        for entry in self.done.drain(..) {
-            out.push(entry);
-            drained += 1;
-        }
-        for key in keys {
-            let Some(ticket) = self.pending.remove(&key) else {
-                // Woken for a key we no longer track (ticket dropped or
-                // already drained) — spurious, skip.
-                if let Some(metrics) = &self.metrics {
-                    metrics.record_async_spurious_wakeup();
-                }
-                continue;
-            };
-            match ticket.try_wait() {
-                Some(outcome) => {
-                    out.push((key, outcome));
-                    drained += 1;
-                }
-                None => {
-                    // A wakeup always trails the published value, so this
-                    // branch is defensive: re-arm and count it.
-                    if let Some(metrics) = &self.metrics {
-                        metrics.record_async_spurious_wakeup();
-                    }
-                    self.insert(key, ticket);
-                }
-            }
-        }
-        drained
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::future::IntoFuture;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
@@ -743,80 +470,5 @@ mod tests {
         // The future (and with it the ticket) was dropped on timeout;
         // the slot still drops the published response exactly once when
         // the last Arc goes — covered by the DropCounter test above.
-    }
-
-    #[test]
-    fn completion_set_drains_all_completed_ids_after_one_park() {
-        let mut set = CompletionSet::new();
-        let mut completers = Vec::new();
-        for key in 0..8u64 {
-            let (ticket, completer) = pair(key + 1);
-            set.insert(key, ticket);
-            completers.push(completer);
-        }
-        assert_eq!(set.len(), 8);
-        let worker = std::thread::spawn(move || {
-            for (i, mut completer) in completers.into_iter().enumerate() {
-                completer.complete(Ok(response(i)));
-            }
-        });
-        let mut out = Vec::new();
-        while out.len() < 8 {
-            set.wait_completed(&mut out);
-        }
-        worker.join().expect("completer thread");
-        let mut keys: Vec<u64> = out.iter().map(|&(k, _)| k).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, (0..8).collect::<Vec<_>>());
-        assert!(set.is_empty());
-    }
-
-    #[test]
-    fn completion_set_claims_already_complete_tickets_at_insert() {
-        let mut set = CompletionSet::new();
-        let (ticket, mut completer) = pair(9);
-        completer.complete(Ok(response(4)));
-        set.insert(42, ticket);
-        let mut out = Vec::new();
-        assert_eq!(set.wait_completed(&mut out), 1, "no park needed");
-        assert_eq!(out[0].0, 42);
-        assert!(out[0].1.as_ref().is_ok_and(|r| r.worker == 4));
-    }
-
-    #[test]
-    fn notifier_unparks_an_idle_driver_with_zero_completions() {
-        let mut set = CompletionSet::new();
-        let (ticket, _completer) = pair(5);
-        set.insert(1, ticket);
-        let notifier = set.notifier();
-        let poker = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            notifier.notify();
-        });
-        let mut out = Vec::new();
-        assert_eq!(set.wait_completed(&mut out), 0, "poked, not completed");
-        poker.join().expect("poker thread");
-        assert_eq!(set.len(), 1, "ticket still in flight");
-    }
-
-    #[test]
-    fn wait_on_an_empty_set_returns_immediately() {
-        let mut set = CompletionSet::new();
-        let mut out = Vec::new();
-        assert_eq!(set.wait_completed(&mut out), 0);
-    }
-
-    #[test]
-    fn wait_timeout_elapses_on_a_quiet_set() {
-        let mut set = CompletionSet::new();
-        let (ticket, _completer) = pair(6);
-        set.insert(1, ticket);
-        let mut out = Vec::new();
-        let started = Instant::now();
-        assert_eq!(
-            set.wait_completed_timeout(&mut out, Duration::from_millis(5)),
-            0
-        );
-        assert!(started.elapsed() >= Duration::from_millis(4));
     }
 }

@@ -6,17 +6,20 @@
 //! Three campaigns, matching the serving plane's failure modes:
 //!   1. register-after-complete race loop — a completer thread racing a
 //!      `block_on` waiter, thousands of rounds;
-//!   2. thousands of in-flight tickets multiplexed onto ONE driver via
-//!      [`CompletionSet`], completed out of order by several threads;
-//!   3. drop-ticket-before-wake — consumers vanish while completions are
-//!      still in flight, and nothing hangs, panics, or double-replies.
+//!   2. drop-ticket-before-wake — consumers vanish while completions are
+//!      still in flight, and nothing hangs, panics, or double-replies;
+//!   3. mass completer drop — an engine dying under hundreds of armed
+//!      wakers wakes each exactly once with `EngineShutDown`.
 
 use std::collections::HashSet;
+use std::future::{Future, IntoFuture};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use nacu_engine::{CompletionSet, Response, Ticket, WaitError};
+use nacu_engine::{Response, Ticket, TicketFuture, WaitError};
 
 fn stamped(sentinel: u64) -> Response {
     Response {
@@ -54,95 +57,50 @@ fn register_after_complete_race_loop() {
     }
 }
 
-/// Campaign 2: one driver thread parks on a [`CompletionSet`] holding
-/// thousands of in-flight tickets while four completer threads resolve
-/// them in scrambled orders. Every id must be collected exactly once
-/// with its own stamped value — no lost wakeups, no duplicates, and the
-/// driver parks instead of spinning (bounded batch count sanity-checks
-/// that wakeups actually coalesce).
-#[test]
-fn thousands_of_in_flight_tickets_on_one_driver() {
-    const TICKETS: u64 = 4_096;
-    const COMPLETERS: u64 = 4;
-
-    let mut set = CompletionSet::new();
-    let mut completers = Vec::with_capacity(TICKETS as usize);
-    for id in 0..TICKETS {
-        let (ticket, completer) = Ticket::detached(id);
-        set.insert(id, ticket);
-        completers.push(Some(completer));
-    }
-    assert_eq!(set.len(), TICKETS as usize);
-
-    let done = std::thread::scope(|scope| {
-        for lane in 0..COMPLETERS {
-            // Each lane resolves its ids through a stride permutation, so
-            // completion order is thoroughly unlike insertion order.
-            let mut lane_completers: Vec<(u64, _)> = completers
-                .iter_mut()
-                .enumerate()
-                .filter(|(id, _)| (*id as u64) % COMPLETERS == lane)
-                .map(|(id, slot)| (id as u64, slot.take().expect("unclaimed")))
-                .collect();
-            scope.spawn(move || {
-                let n = lane_completers.len();
-                for k in 0..n {
-                    let index = (k * 977) % n; // 977 coprime to n
-                    let (id, completer) = &mut lane_completers[index];
-                    completer.complete(Ok(stamped(*id)));
-                }
-            });
-        }
-
-        // The single driver: park, drain, repeat until every id landed.
-        // The outer deadline is the lost-wakeup detector — a starved
-        // driver stops making progress and trips it.
-        let mut done = Vec::with_capacity(TICKETS as usize);
-        let mut batch = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while done.len() < TICKETS as usize {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "driver starved: wakeups lost at {}/{TICKETS}",
-                done.len()
-            );
-            set.wait_completed_timeout(&mut batch, Duration::from_secs(1));
-            done.append(&mut batch);
-        }
-        done
-    });
-
-    assert_eq!(done.len(), TICKETS as usize);
-    let mut seen = HashSet::new();
-    for (id, result) in done {
-        assert!(seen.insert(id), "id {id} delivered twice");
-        let response = result.expect("completed ok");
-        assert_eq!(
-            response.batch_cycles, id,
-            "id {id} got someone else's value"
-        );
-    }
-    assert_eq!(seen.len(), TICKETS as usize);
-    assert!(set.is_empty(), "driver drained every pending ticket");
+/// A waker that reports its ticket's id on a channel — the shape of the
+/// net plane's per-ticket reply waker, minus the socket.
+struct IdWaker {
+    id: u64,
+    tx: Mutex<mpsc::Sender<u64>>,
 }
 
-/// Campaign 3: consumers abandon tickets at every stage — unregistered,
-/// registered-in-a-set, and mid-completion — while completers keep
-/// resolving. The completers must never panic or block, and a set
-/// dropped with live registrations must not wedge later completions.
+impl Wake for IdWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let _ = self.tx.lock().expect("sender lock").send(self.id);
+    }
+}
+
+/// Polls `future` once with `waker`, arming it if the ticket is pending.
+fn arm(future: &mut TicketFuture, waker: &Waker) -> Poll<Result<Response, WaitError>> {
+    Pin::new(future).poll(&mut Context::from_waker(waker))
+}
+
+/// Campaign 2: consumers abandon tickets at every stage — never polled,
+/// and polled with a waker armed — while completers keep resolving. The
+/// completers must never panic or block, and a waker whose ticket is
+/// already gone must not wedge later completions.
 #[test]
 fn dropping_tickets_before_wake_leaks_and_hangs_nothing() {
     const ROUNDS: u64 = 500;
     let completions = Arc::new(AtomicUsize::new(0));
+    let (tx, rx) = mpsc::channel();
 
     for round in 0..ROUNDS {
         let (never_registered, mut completer_a) = Ticket::detached(round);
         let (registered, mut completer_b) = Ticket::detached(round + ROUNDS);
 
-        // Register one ticket in a set, then drop the whole set while
-        // the completion is still in flight.
-        let mut set = CompletionSet::new();
-        set.insert(round, registered);
+        // Arm a waker on one ticket, then drop it while the completion
+        // is still in flight.
+        let waker = Waker::from(Arc::new(IdWaker {
+            id: round,
+            tx: Mutex::new(tx.clone()),
+        }));
+        let mut armed = registered.into_future();
+        assert!(arm(&mut armed, &waker).is_pending());
         drop(never_registered);
 
         let counter = Arc::clone(&completions);
@@ -152,14 +110,14 @@ fn dropping_tickets_before_wake_leaks_and_hangs_nothing() {
             counter.fetch_add(2, Ordering::SeqCst);
         });
 
-        // Half the rounds drop the set before the completions land,
-        // half after — both must be clean.
+        // Half the rounds drop the armed ticket before the completions
+        // land, half after — both must be clean.
         if round % 2 == 0 {
-            drop(set);
+            drop(armed);
             racer.join().expect("completer thread");
         } else {
             racer.join().expect("completer thread");
-            drop(set);
+            drop(armed);
         }
     }
 
@@ -168,37 +126,47 @@ fn dropping_tickets_before_wake_leaks_and_hangs_nothing() {
         (ROUNDS as usize) * 2,
         "every completer ran to completion"
     );
+    // Every armed waker fired exactly once, dropped ticket or not.
+    drop(tx);
+    let mut woken: Vec<u64> = rx.iter().collect();
+    woken.sort_unstable();
+    assert_eq!(woken, (0..ROUNDS).collect::<Vec<_>>());
 }
 
 /// The shutdown contract under load: dropping completers (the engine
-/// dying) resolves every parked waiter with `EngineShutDown` rather than
-/// stranding it.
+/// dying) wakes every armed waiter exactly once, and each ticket then
+/// resolves to `EngineShutDown` rather than stranding it.
 #[test]
 fn mass_completer_drop_unparks_every_waiter() {
     const WAITERS: u64 = 512;
-    let mut set = CompletionSet::new();
+    let (tx, rx) = mpsc::channel();
+    let mut futures = Vec::new();
     let mut completers = Vec::new();
     for id in 0..WAITERS {
         let (ticket, completer) = Ticket::detached(id);
-        set.insert(id, ticket);
+        let mut future = ticket.into_future();
+        let waker = Waker::from(Arc::new(IdWaker {
+            id,
+            tx: Mutex::new(tx.clone()),
+        }));
+        assert!(arm(&mut future, &waker).is_pending());
+        futures.push(future);
         completers.push(completer);
     }
+    drop(tx);
 
-    std::thread::scope(|scope| {
-        scope.spawn(move || drop(completers));
-        let mut done = Vec::new();
-        let mut batch = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while done.len() < WAITERS as usize {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "shutdown never reached the waiters"
-            );
-            set.wait_completed_timeout(&mut batch, Duration::from_secs(1));
-            done.append(&mut batch);
-        }
-        for (_, result) in done {
-            assert_eq!(result.unwrap_err(), WaitError::EngineShutDown);
-        }
-    });
+    std::thread::spawn(move || drop(completers));
+    let mut woken = HashSet::new();
+    for _ in 0..WAITERS {
+        let id = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("shutdown never reached a waiter");
+        assert!(woken.insert(id), "waiter {id} woken twice");
+    }
+    for future in futures {
+        assert_eq!(
+            future.into_inner().try_wait(),
+            Some(Err(WaitError::EngineShutDown))
+        );
+    }
 }

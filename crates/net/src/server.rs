@@ -1,52 +1,71 @@
 //! The admission-controlled TCP serving plane.
 //!
 //! One accept thread guards the connection limit; each accepted socket
-//! gets a reader thread (decode → admission → engine submit). Replies
-//! are written by a small **fixed pool of event-driven dispatchers**:
-//! every admitted ticket is registered, keyed by its engine
-//! `request_id`, in one dispatcher's [`CompletionSet`], and the
-//! dispatcher parks until completions wake it — no thread count that
-//! scales with connections, no polling interval. Control replies
-//! (BUSY/SHED/QUOTA/ERROR) are written directly by the reader; the
-//! per-connection write half sits behind a mutex so frames never
-//! interleave. Pipelining is native: a client may have many request ids
-//! in flight on one socket, replies carry the id and arrive in
-//! completion order.
+//! gets a reader thread (decode → admission → engine submit). Each reply
+//! is written by the thread that completes its request:
+//!
+//! * the **reader** for table-served σ/tanh/exp, which the engine answers
+//!   inside `submit` — the ticket is already resolved when admission
+//!   hands it back;
+//! * the **engine worker** for pool-served work (softmax, formats without
+//!   tables, fault-injected engines), through a waker armed on the
+//!   ticket that encodes and writes the reply when the worker completes
+//!   it.
+//!
+//! No thread exists only to write replies, and no request crosses a
+//! thread just to be answered. Control replies (BUSY/SHED/QUOTA/ERROR)
+//! are written by the reader. The per-connection write half sits behind
+//! a mutex so frames never interleave, and every accepted socket carries
+//! a fixed [`WRITE_TIMEOUT`]: a write that makes no progress for that
+//! long marks the connection dead, so a client that stops reading holds
+//! a worker for at most one timeout. Pipelining is native: a client may
+//! have many request ids in flight on one socket, replies carry the id
+//! and arrive in completion order.
 //!
 //! Admission is layered, cheapest first:
 //!
 //! 1. **Protocol** — malformed frames get one ERROR(PROTOCOL) reply and
 //!    the connection closes (the stream cannot be resynchronised).
-//! 2. **Quota** — the per-client token bucket refuses with QUOTA.
-//! 3. **Shed** — a request whose deadline budget is below the modeled
+//! 2. **Shutdown** — after [`NetServer::shutdown`], every further frame
+//!    is answered ERROR(SHUTTING_DOWN).
+//! 3. **Quota** — the per-client token bucket refuses with QUOTA.
+//! 4. **Shed** — a request whose deadline budget is below the modeled
 //!    hardware floor ([`modeled_batch_cycles`] at the paper clock) is
 //!    refused with SHED before touching the queue; a deadline that
 //!    expires while queued becomes SHED at completion.
-//! 4. **Backpressure** — the engine's bounded queue refusing a push
+//! 5. **Backpressure** — the engine's bounded queue refusing a push
 //!    becomes a BUSY reply, never a dropped connection.
 //!
 //! Every admission outcome lands in the engine's `net_*` counters via
-//! [`EngineHandle::live_metrics`], and the dispatcher pool feeds the
-//! `async_*` counters, so the `/metrics` scrape sees the network plane
-//! with zero extra plumbing.
+//! [`EngineHandle::live_metrics`], and each armed reply waker counts on
+//! `async_wakers_registered`, so the `/metrics` scrape sees the network
+//! plane with zero extra plumbing.
 
 use std::collections::HashMap;
+use std::future::{Future, IntoFuture};
 use std::io::Write;
 use std::net::{IpAddr, Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use nacu_engine::report::{modeled_batch_cycles, PAPER_CLOCK_HZ};
 use nacu_engine::{
-    CompletionNotifier, CompletionSet, EngineHandle, EngineMetrics, SubmitError, Ticket, WaitError,
+    EngineHandle, EngineMetrics, Response, SubmitError, Ticket, TicketFuture, WaitError,
 };
 
 use crate::proto::{
     code, decode_request, encode_reply, max_request_payload, read_payload, ReadError, ReplyFrame,
     RequestFrame, Status,
 };
+
+/// How long one reply write may block on a full socket before the
+/// connection is declared dead. Workers write pool-served replies, so
+/// this bounds what a client that stops reading can take from them.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-client rate limit for the token bucket.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,15 +85,13 @@ pub struct NetConfig {
     /// Operands accepted per request frame; larger frames are protocol
     /// errors (and their byte length bounds allocation up front).
     pub max_frame_ops: u32,
-    /// In-flight requests per connection; the reader stops decoding
-    /// (TCP backpressure) once this many tickets are outstanding.
+    /// Pool-served requests in flight per connection; the reader stops
+    /// decoding (TCP backpressure) once this many replies are owed.
+    /// Table-served requests are answered inside `submit` and never
+    /// count.
     pub max_inflight_per_conn: usize,
     /// Per-client-IP token bucket; `None` disables quota enforcement.
     pub quota: Option<Quota>,
-    /// Reply dispatcher threads shared by every connection (clamped to
-    /// ≥ 1). The whole serving plane uses this fixed pool, however many
-    /// sockets are open.
-    pub dispatchers: usize,
 }
 
 impl Default for NetConfig {
@@ -84,20 +101,18 @@ impl Default for NetConfig {
             max_frame_ops: 1 << 16,
             max_inflight_per_conn: 64,
             quota: None,
-            dispatchers: 2,
         }
     }
 }
 
 /// A running network serving plane. Dropping it (or calling
-/// [`NetServer::shutdown`]) stops the listener and drains the reply
-/// dispatchers; the engine keeps serving in-process work either way.
+/// [`NetServer::shutdown`]) stops the listener; the engine keeps serving
+/// in-process work either way.
 #[derive(Debug)]
 pub struct NetServer {
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    plane: Arc<Plane>,
     accept_thread: Option<thread::JoinHandle<()>>,
-    dispatchers: Option<Arc<DispatcherPool>>,
 }
 
 impl NetServer {
@@ -107,18 +122,16 @@ impl NetServer {
         self.addr
     }
 
-    /// Stops accepting, then drains and joins the reply dispatchers.
-    /// Connections still open keep their readers, but work admitted
-    /// after this point is answered ERROR(SHUTTING_DOWN).
+    /// Stops accepting and joins the accept thread. Connections still
+    /// open keep their readers, but every request they decode after this
+    /// point is answered ERROR(SHUTTING_DOWN); requests admitted before
+    /// it are still answered as they complete.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.plane.stop.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
-        }
-        if let Some(pool) = self.dispatchers.take() {
-            pool.shutdown();
         }
     }
 }
@@ -127,6 +140,17 @@ impl Drop for NetServer {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// What the accept thread and every reader share.
+#[derive(Debug)]
+struct Plane {
+    handle: EngineHandle,
+    metrics: Arc<EngineMetrics>,
+    config: NetConfig,
+    buckets: Option<Buckets>,
+    /// Set by [`NetServer::shutdown`].
+    stop: AtomicBool,
 }
 
 /// Token buckets keyed by client IP, shared across connections.
@@ -163,19 +187,20 @@ impl Buckets {
 }
 
 /// One connection's write side plus its in-flight accounting. The
-/// reader holds it for immediates and admission; dispatchers hold it
-/// (via each routed ticket) for completion replies.
+/// reader holds it for the replies it writes and for admission; each
+/// armed [`ReplyWaker`] holds it for the reply a worker writes.
 #[derive(Debug)]
 struct Conn {
     /// Write half; every reply frame is written whole under this lock,
-    /// so reader immediates and dispatcher completions never interleave.
+    /// so replies written by the reader and by workers never interleave.
     stream: Mutex<TcpStream>,
-    /// Admitted-but-unreplied requests, bounded by
+    /// Requests whose reply a worker will write, bounded by
     /// [`NetConfig::max_inflight_per_conn`].
     inflight: Mutex<usize>,
     /// Signals slot release (and death) to a reader blocked on the bound.
     room: Condvar,
-    /// A write failed (or the peer died): stop decoding, drop replies.
+    /// A write failed or timed out (or the peer died): stop decoding,
+    /// drop replies.
     dead: AtomicBool,
 }
 
@@ -189,9 +214,9 @@ impl Conn {
         }
     }
 
-    /// Writes one reply frame (counted even if the write then fails,
-    /// matching the pre-dispatcher accounting). On error the connection
-    /// is marked dead and both socket halves are shut down so a blocked
+    /// Writes one reply frame (counted even if the write then fails).
+    /// On error — [`WRITE_TIMEOUT`] included — the connection is marked
+    /// dead and both socket halves are shut down so a blocked
     /// reader unsticks.
     fn write_reply(&self, frame: &ReplyFrame, metrics: &EngineMetrics) {
         if self.dead.load(Ordering::Acquire) {
@@ -243,135 +268,61 @@ impl Conn {
     }
 }
 
-/// One admitted request handed from a reader to a dispatcher.
-#[derive(Debug)]
-struct RouteEntry {
+/// Writes one pool-served request's reply on the thread that completes
+/// it: armed on the ticket at admission, woken by the engine right after
+/// the outcome is published.
+struct ReplyWaker {
     client_id: u64,
-    ticket: Ticket,
     conn: Arc<Conn>,
+    metrics: Arc<EngineMetrics>,
+    /// The pending ticket. Locked across registration, so a completion
+    /// that races it waits until the ticket is parked here.
+    ticket: Mutex<Option<TicketFuture>>,
 }
 
-#[derive(Debug)]
-struct Inbox {
-    entries: Vec<RouteEntry>,
-    /// Set under the lock by shutdown; once observed true, no further
-    /// submissions are accepted, so the dispatcher can exit without a
-    /// hand-off race.
-    closed: bool,
-}
-
-#[derive(Debug)]
-struct Shard {
-    inbox: Mutex<Inbox>,
-    notifier: CompletionNotifier,
-}
-
-/// The fixed pool of event-driven reply dispatchers. Readers hand each
-/// admitted ticket to a shard (round-robin); the shard's driver thread
-/// multiplexes every in-flight ticket it owns on one [`CompletionSet`],
-/// parks until completions arrive, and writes the replies.
-#[derive(Debug)]
-struct DispatcherPool {
-    shards: Vec<Arc<Shard>>,
-    next: AtomicUsize,
-    threads: Mutex<Vec<thread::JoinHandle<()>>>,
-}
-
-impl DispatcherPool {
-    fn start(count: usize, metrics: &Arc<EngineMetrics>) -> Self {
-        let count = count.max(1);
-        let mut shards = Vec::with_capacity(count);
-        let mut threads = Vec::with_capacity(count);
-        for index in 0..count {
-            let set = CompletionSet::new().with_metrics(Arc::clone(metrics));
-            let shard = Arc::new(Shard {
-                inbox: Mutex::new(Inbox {
-                    entries: Vec::new(),
-                    closed: false,
-                }),
-                notifier: set.notifier(),
-            });
-            shards.push(Arc::clone(&shard));
-            let metrics = Arc::clone(metrics);
-            if let Ok(thread) = thread::Builder::new()
-                .name(format!("nacu-net-dispatch-{index}"))
-                .spawn(move || dispatcher_loop(&shard, set, &metrics))
-            {
-                threads.push(thread);
+impl ReplyWaker {
+    /// Arms a reply waker on `ticket`, or answers at once if the ticket
+    /// completed before the waker could be registered.
+    fn arm(ticket: Ticket, client_id: u64, conn: &Arc<Conn>, metrics: &Arc<EngineMetrics>) {
+        let this = Arc::new(Self {
+            client_id,
+            conn: Arc::clone(conn),
+            metrics: Arc::clone(metrics),
+            ticket: Mutex::new(None),
+        });
+        let waker = Waker::from(Arc::clone(&this));
+        let mut parked = this.ticket.lock().expect("ticket lock");
+        let mut future = ticket.into_future();
+        match Pin::new(&mut future).poll(&mut Context::from_waker(&waker)) {
+            Poll::Ready(outcome) => {
+                drop(parked);
+                this.send(outcome);
             }
-        }
-        Self {
-            shards,
-            next: AtomicUsize::new(0),
-            threads: Mutex::new(threads),
+            Poll::Pending => {
+                metrics.record_async_waker_registered();
+                *parked = Some(future);
+            }
         }
     }
 
-    /// Routes one admitted ticket to a dispatcher. `Err` means the pool
-    /// already shut down — the caller answers SHUTTING_DOWN itself.
-    fn submit(&self, entry: RouteEntry) -> Result<(), RouteEntry> {
-        let shard =
-            &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len().max(1)];
-        {
-            let mut inbox = shard.inbox.lock().expect("inbox lock");
-            if inbox.closed {
-                return Err(entry);
-            }
-            inbox.entries.push(entry);
-        }
-        shard.notifier.notify();
-        Ok(())
-    }
-
-    /// Closes every shard, then joins the drivers; each drains its
-    /// remaining in-flight tickets before exiting, so admitted requests
-    /// still get their replies. Idempotent — a second call finds the
-    /// shards closed and no threads left to join.
-    fn shutdown(&self) {
-        for shard in &self.shards {
-            shard.inbox.lock().expect("inbox lock").closed = true;
-            shard.notifier.notify();
-        }
-        let threads = std::mem::take(&mut *self.threads.lock().expect("threads lock"));
-        for thread in threads {
-            let _ = thread.join();
-        }
+    fn send(&self, outcome: Result<Response, WaitError>) {
+        let frame = completion_reply(self.client_id, outcome, &self.metrics);
+        self.conn.write_reply(&frame, &self.metrics);
+        self.conn.release_slot();
     }
 }
 
-/// One dispatcher: drain the inbox into the completion set, park until
-/// completions (or a poke), write the finished replies, repeat. Exits
-/// only when the shard is closed AND nothing is left in flight.
-fn dispatcher_loop(shard: &Arc<Shard>, mut set: CompletionSet, metrics: &Arc<EngineMetrics>) {
-    // request_id → (client-chosen reply id, connection).
-    let mut routes: HashMap<u64, (u64, Arc<Conn>)> = HashMap::new();
-    let mut completed: Vec<(u64, Result<nacu_engine::Response, WaitError>)> = Vec::new();
-    loop {
-        let arrivals = {
-            let mut inbox = shard.inbox.lock().expect("inbox lock");
-            if inbox.closed && inbox.entries.is_empty() && set.is_empty() {
-                return;
-            }
-            std::mem::take(&mut inbox.entries)
-        };
-        for entry in arrivals {
-            // The engine's monotonic request id is the routing key: it is
-            // unique across every connection and already stamped on the
-            // ticket, the trace spans, and the flight recorder.
-            let key = entry.ticket.request_id();
-            routes.insert(key, (entry.client_id, entry.conn));
-            set.insert(key, entry.ticket);
-        }
-        completed.clear();
-        if set.wait_completed(&mut completed) > 0 {
-            metrics.record_async_dispatcher_batch();
-        }
-        for (key, outcome) in completed.drain(..) {
-            let Some((client_id, conn)) = routes.remove(&key) else {
-                continue;
-            };
-            conn.write_reply(&completion_reply(client_id, outcome, metrics), metrics);
-            conn.release_slot();
+impl Wake for ReplyWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let parked = self.ticket.lock().expect("ticket lock").take();
+        // The engine wakes only after publishing the outcome, so the
+        // claim cannot miss.
+        if let Some(outcome) = parked.and_then(|future| future.into_inner().try_wait()) {
+            self.send(outcome);
         }
     }
 }
@@ -395,85 +346,51 @@ pub fn serve(
     }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let metrics = handle.live_metrics();
-    let buckets = config.quota.map(|quota| {
-        Arc::new(Buckets {
+    let plane = Arc::new(Plane {
+        handle: handle.clone(),
+        metrics: handle.live_metrics(),
+        buckets: config.quota.map(|quota| Buckets {
             quota,
             by_ip: Mutex::new(HashMap::new()),
-        })
+        }),
+        config,
+        stop: AtomicBool::new(false),
     });
-    let dispatchers = Arc::new(DispatcherPool::start(config.dispatchers, &metrics));
     let accept_thread = {
-        let stop = Arc::clone(&stop);
-        let handle = handle.clone();
-        let config = config.clone();
-        let dispatchers = Arc::clone(&dispatchers);
+        let plane = Arc::clone(&plane);
         thread::Builder::new()
             .name("nacu-net-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    &listener,
-                    &handle,
-                    &metrics,
-                    &config,
-                    buckets,
-                    &dispatchers,
-                    &stop,
-                );
-            })?
+            .spawn(move || accept_loop(&listener, &plane))?
     };
     Ok(NetServer {
         addr,
-        stop,
+        plane,
         accept_thread: Some(accept_thread),
-        dispatchers: Some(dispatchers),
     })
 }
 
-#[allow(clippy::needless_pass_by_value, clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    handle: &EngineHandle,
-    metrics: &Arc<EngineMetrics>,
-    config: &NetConfig,
-    buckets: Option<Arc<Buckets>>,
-    dispatchers: &Arc<DispatcherPool>,
-    stop: &Arc<AtomicBool>,
-) {
+fn accept_loop(listener: &TcpListener, plane: &Arc<Plane>) {
     let live = Arc::new(AtomicUsize::new(0));
     let next_conn_id = AtomicU32::new(1);
     for stream in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
+        if plane.stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        if live.load(Ordering::Acquire) >= config.max_connections {
-            metrics.record_net_connection_rejected();
+        if live.load(Ordering::Acquire) >= plane.config.max_connections {
+            plane.metrics.record_net_connection_rejected();
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
-        metrics.record_net_connection_accepted();
+        plane.metrics.record_net_connection_accepted();
         live.fetch_add(1, Ordering::AcqRel);
         let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let handle = handle.clone();
-        let metrics = Arc::clone(metrics);
-        let config = config.clone();
-        let buckets = buckets.clone();
-        let dispatchers = Arc::clone(dispatchers);
+        let plane = Arc::clone(plane);
         let conn_live = Arc::clone(&live);
         let spawned = thread::Builder::new()
             .name(format!("nacu-net-conn-{conn_id}"))
             .spawn(move || {
-                serve_connection(
-                    stream,
-                    conn_id,
-                    &handle,
-                    &metrics,
-                    &config,
-                    buckets,
-                    &dispatchers,
-                );
+                serve_connection(stream, conn_id, &plane);
                 conn_live.fetch_sub(1, Ordering::AcqRel);
             });
         if spawned.is_err() {
@@ -482,49 +399,28 @@ fn accept_loop(
     }
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    conn_id: u32,
-    handle: &EngineHandle,
-    metrics: &Arc<EngineMetrics>,
-    config: &NetConfig,
-    buckets: Option<Arc<Buckets>>,
-    dispatchers: &Arc<DispatcherPool>,
-) {
-    let Ok(write_half) = stream.try_clone() else {
+fn serve_connection(stream: TcpStream, conn_id: u32, plane: &Plane) {
+    // Socket options are shared by both halves of the clone below.
+    let write_half = stream
+        .set_write_timeout(Some(WRITE_TIMEOUT))
+        .and_then(|()| stream.try_clone());
+    let Ok(write_half) = write_half else {
         let _ = stream.shutdown(Shutdown::Both);
         return;
     };
     let conn = Arc::new(Conn::new(write_half));
-    read_loop(
-        stream,
-        conn_id,
-        handle,
-        metrics,
-        config,
-        buckets,
-        &conn,
-        dispatchers,
-    );
-    // In-flight replies (if any) are still owned by the dispatchers,
-    // which hold the write half through `conn` until they finish.
+    read_loop(stream, conn_id, plane, &conn);
+    // Replies still in flight are owned by their wakers, which hold the
+    // write half through `conn` until they have written.
 }
 
-/// Decode → admission → submit, blocking on the in-flight bound.
-#[allow(clippy::too_many_arguments)]
-fn read_loop(
-    stream: TcpStream,
-    conn_id: u32,
-    handle: &EngineHandle,
-    metrics: &Arc<EngineMetrics>,
-    config: &NetConfig,
-    buckets: Option<Arc<Buckets>>,
-    conn: &Arc<Conn>,
-    dispatchers: &Arc<DispatcherPool>,
-) {
+/// Decode → admission → submit, answering whatever completed inside
+/// `submit` and blocking on the in-flight bound for the rest.
+fn read_loop(stream: TcpStream, conn_id: u32, plane: &Plane, conn: &Arc<Conn>) {
+    let metrics = &plane.metrics;
     let peer_ip = stream.peer_addr().map(|a| a.ip()).ok();
     let mut reader = std::io::BufReader::new(stream);
-    let max_payload = max_request_payload(config.max_frame_ops);
+    let max_payload = max_request_payload(plane.config.max_frame_ops);
     loop {
         let payload = match read_payload(&mut reader, max_payload) {
             Ok(Some(payload)) => payload,
@@ -543,7 +439,7 @@ fn read_loop(
                 return;
             }
         };
-        let frame = match decode_request(&payload, config.max_frame_ops) {
+        let frame = match decode_request(&payload, plane.config.max_frame_ops) {
             Ok(frame) => frame,
             Err(_) => {
                 metrics.record_net_protocol_error();
@@ -555,27 +451,20 @@ fn read_loop(
             }
         };
         metrics.record_net_frame_in();
-        match admit(frame, conn_id, handle, metrics, config, &buckets, peer_ip) {
+        match admit(frame, conn_id, plane, peer_ip) {
             Admission::Immediate(frame) => conn.write_reply(&frame, metrics),
-            Admission::InFlight { client_id, ticket } => {
-                if !conn.acquire_slot(config.max_inflight_per_conn) {
-                    return; // connection died while parked on the bound
+            Admission::Submitted { client_id, ticket } => match ticket.try_wait() {
+                // Table-served work was answered inside `submit`.
+                Some(outcome) => {
+                    conn.write_reply(&completion_reply(client_id, outcome, metrics), metrics);
                 }
-                let entry = RouteEntry {
-                    client_id,
-                    ticket,
-                    conn: Arc::clone(conn),
-                };
-                if dispatchers.submit(entry).is_err() {
-                    // Pool already drained (server shutdown): the ticket
-                    // is dropped, the engine's reply is abandoned.
-                    conn.release_slot();
-                    conn.write_reply(
-                        &ReplyFrame::control(Status::Error, code::SHUTTING_DOWN, client_id),
-                        metrics,
-                    );
+                None => {
+                    if !conn.acquire_slot(plane.config.max_inflight_per_conn) {
+                        return; // connection died while parked on the bound
+                    }
+                    ReplyWaker::arm(ticket, client_id, conn, metrics);
                 }
-            }
+            },
         }
         if conn.dead.load(Ordering::Acquire) {
             return;
@@ -586,22 +475,22 @@ fn read_loop(
 enum Admission {
     /// Answered without touching the engine (or rejected by it).
     Immediate(ReplyFrame),
-    /// Enqueued; a dispatcher owns writing the completion reply.
-    InFlight { client_id: u64, ticket: Ticket },
+    /// Accepted by the engine; the ticket may already be resolved.
+    Submitted { client_id: u64, ticket: Ticket },
 }
 
-fn admit(
-    frame: RequestFrame,
-    conn_id: u32,
-    handle: &EngineHandle,
-    metrics: &Arc<EngineMetrics>,
-    _config: &NetConfig,
-    buckets: &Option<Arc<Buckets>>,
-    peer_ip: Option<IpAddr>,
-) -> Admission {
+fn admit(frame: RequestFrame, conn_id: u32, plane: &Plane, peer_ip: Option<IpAddr>) -> Admission {
     let client_id = frame.id;
+    let metrics = &plane.metrics;
+    if plane.stop.load(Ordering::Acquire) {
+        return Admission::Immediate(ReplyFrame::control(
+            Status::Error,
+            code::SHUTTING_DOWN,
+            client_id,
+        ));
+    }
     // Quota before any per-operand work: refusals must stay cheap.
-    if let (Some(buckets), Some(ip)) = (buckets.as_ref(), peer_ip) {
+    if let (Some(buckets), Some(ip)) = (plane.buckets.as_ref(), peer_ip) {
         if !buckets.admit(ip) {
             metrics.record_net_quota_limited();
             return Admission::Immediate(ReplyFrame::control(Status::Quota, code::NONE, client_id));
@@ -635,8 +524,8 @@ fn admit(
     if let Some(budget) = budget {
         request = request.with_deadline(Instant::now() + budget);
     }
-    match handle.submit(request) {
-        Ok(ticket) => Admission::InFlight { client_id, ticket },
+    match plane.handle.submit(request) {
+        Ok(ticket) => Admission::Submitted { client_id, ticket },
         Err(SubmitError::Busy { .. }) => {
             Admission::Immediate(ReplyFrame::control(Status::Busy, code::NONE, client_id))
         }
@@ -656,7 +545,7 @@ fn admit(
 /// Maps one ticket outcome onto its wire reply.
 fn completion_reply(
     client_id: u64,
-    outcome: Result<nacu_engine::Response, WaitError>,
+    outcome: Result<Response, WaitError>,
     metrics: &EngineMetrics,
 ) -> ReplyFrame {
     match outcome {
@@ -724,29 +613,5 @@ mod tests {
         assert!(c.max_frame_ops > 0);
         assert!(c.max_inflight_per_conn > 0);
         assert!(c.quota.is_none());
-        assert!(c.dispatchers > 0);
-    }
-
-    /// Closed shards refuse new routes instead of dropping them, and a
-    /// drained pool joins cleanly.
-    #[test]
-    fn dispatcher_pool_drains_in_flight_work_on_shutdown() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let pool = DispatcherPool::start(2, &metrics);
-        // A pool with nothing in flight shuts down without hanging.
-        pool.shutdown();
-
-        let pool = DispatcherPool::start(1, &metrics);
-        pool.shards[0].inbox.lock().expect("inbox lock").closed = true;
-        let (ticket, _completer) = Ticket::detached(1);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let entry = RouteEntry {
-            client_id: 7,
-            ticket,
-            conn: Arc::new(Conn::new(stream)),
-        };
-        assert!(pool.submit(entry).is_err(), "closed shard refuses routes");
-        pool.shutdown();
     }
 }

@@ -117,12 +117,12 @@ fn pipelined_clients_match_sequential_golden_bit_for_bit() {
     engine.shutdown();
 }
 
-/// 256 concurrent pipelined connections through the fixed dispatcher
-/// pool: every socket keeps several requests in flight at once, yet the
-/// reply plane runs on two dispatcher threads total — and every output
-/// stays bit-identical to the sequential unit.
+/// 256 concurrent pipelined connections: every socket keeps several
+/// requests in flight at once, each reply is written by the connection's
+/// own reader — no thread exists just to write replies — and every
+/// output stays bit-identical to the sequential unit.
 #[test]
-fn two_hundred_fifty_six_connections_share_two_dispatchers() {
+fn two_hundred_fifty_six_connections_reply_from_their_readers() {
     const CONNS: usize = 256;
     const PIPELINED: usize = 4;
 
@@ -140,7 +140,6 @@ fn two_hundred_fifty_six_connections_share_two_dispatchers() {
             "127.0.0.1:0",
             nacu_net::NetConfig {
                 max_connections: CONNS + 8,
-                dispatchers: 2,
                 ..nacu_net::NetConfig::default()
             },
         )
@@ -179,15 +178,159 @@ fn two_hundred_fifty_six_connections_share_two_dispatchers() {
         assert!(inflight.is_empty());
     }
 
-    // The async plane did the routing: wakers were registered for
-    // in-flight tickets and dispatcher batches carried the replies.
+    // σ is table-served: `submit` answered every request before
+    // returning, so no request entered the queue, no reply waker was
+    // armed, and the only net threads are the acceptor and the readers.
     let snapshot = engine.metrics();
-    assert!(
-        snapshot.async_dispatcher_batches > 0,
-        "replies must flow through the dispatcher pool"
+    assert_eq!(snapshot.requests_completed, (CONNS * PIPELINED) as u64);
+    assert_eq!(snapshot.queue_depth_high_water, 0, "σ never queues");
+    assert_eq!(snapshot.async_wakers_registered, 0, "no reply waited");
+    if let Some(names) = thread_names() {
+        let net: Vec<&String> = names
+            .iter()
+            .filter(|n| n.starts_with("nacu-net-"))
+            .collect();
+        assert!(
+            net.iter()
+                .all(|n| n.starts_with("nacu-net-conn") || n.as_str() == "nacu-net-accept"),
+            "a net thread that is neither acceptor nor reader: {net:?}"
+        );
+    }
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// This process's thread names, where the OS lists them (Linux).
+fn thread_names() -> Option<Vec<String>> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect(),
+    )
+}
+
+/// After `NetServer::shutdown`, a connection that is still open gets
+/// ERROR(SHUTTING_DOWN) for its next request — table-served or not —
+/// and stays open to hear it.
+#[test]
+fn requests_after_net_shutdown_answer_shutting_down() {
+    let engine = engine();
+    let mut server = engine.handle().serve_net("127.0.0.1:0").expect("bind");
+    let fmt = engine.format();
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let small = operands_for(fmt, Function::Sigmoid, 0, 8);
+    assert_eq!(
+        client
+            .call(Function::Sigmoid, &small, 0)
+            .expect("ok")
+            .status,
+        Status::Ok
     );
 
     server.shutdown();
+    for function in [Function::Sigmoid, Function::Softmax] {
+        let reply = client
+            .call(function, &small, 0)
+            .expect("reply after shutdown");
+        assert_eq!(reply.status, Status::Error, "{function:?}");
+        assert_eq!(reply.code, nacu_net::code::SHUTTING_DOWN, "{function:?}");
+        assert!(reply.codes.is_empty(), "a control frame");
+    }
+    // The engine itself still serves in-process work.
+    engine
+        .submit(Request::new(Function::Sigmoid, small))
+        .expect("in-process submit")
+        .wait()
+        .expect("served");
+    engine.shutdown();
+}
+
+/// A client that pipelines large softmax frames and never reads its
+/// replies cannot hold an engine worker: the reply write times out, the
+/// connection is closed, and pool-served in-process work completes.
+#[test]
+fn a_client_that_never_reads_cannot_hold_a_worker() {
+    let engine = engine();
+    let server = engine.handle().serve_net("127.0.0.1:0").expect("bind");
+    let fmt = engine.format();
+    let big = operands_for(fmt, Function::Softmax, 0, 16_384);
+    let frame = nacu_net::encode_request(&nacu_net::RequestFrame {
+        function: Function::Softmax,
+        format: fmt,
+        id: 1,
+        deadline_micros: 0,
+        codes: big.iter().map(|x| x.raw() as i16).collect(),
+    });
+    let mut stalled = TcpStream::connect(server.addr()).expect("connect");
+    let mut sending = stalled.try_clone().expect("clone socket");
+    // Far more replies than loopback buffers hold: the workers' writes
+    // block, and only the server closing the connection fails a send.
+    let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+    let sender = std::thread::spawn(move || {
+        let closed = (0..4096).any(|_| sending.write_all(&frame).is_err());
+        let _ = closed_tx.send(closed);
+    });
+
+    // Pool-served in-process work keeps completing while the stall lasts
+    // and after it ends.
+    let handle = engine.handle();
+    let probe = operands_for(fmt, Function::Softmax, 1, 64);
+    let serve_probe = || {
+        handle
+            .submit(Request::new(Function::Softmax, probe.clone()))
+            .map_err(|e| format!("in-process submit refused: {e}"))?
+            .wait_timeout(Duration::from_secs(30))
+            .map(|response| assert_eq!(response.outputs.len(), 64))
+            .map_err(|e| format!("pool-served work stalled behind the client: {e}"))
+    };
+    let started = std::time::Instant::now();
+    let outcome = loop {
+        if let Err(why) = serve_probe() {
+            break Err(why);
+        }
+        match closed_rx.try_recv() {
+            Ok(true) => break serve_probe(),
+            Ok(false) => break Err("the server never closed the stalled connection".into()),
+            Err(_) if started.elapsed() > Duration::from_secs(60) => {
+                break Err("the stalled connection stayed open".into());
+            }
+            Err(_) => {}
+        }
+    };
+    if let Err(why) = outcome {
+        // Dropping the engine would join a worker stuck in a write.
+        std::mem::forget(server);
+        std::mem::forget(engine);
+        panic!("{why}");
+    }
+
+    // The client side sees the close too: reading drains whatever the
+    // kernel buffered, then hits end of stream or a reset.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut buf = vec![0u8; 1 << 16];
+    loop {
+        match stalled.read(&mut buf) {
+            Ok(0) => break,
+            Ok(_) => continue,
+            Err(e) => {
+                assert!(
+                    !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                    "the connection is still open"
+                );
+                break;
+            }
+        }
+    }
+    sender.join().expect("sender thread");
+    drop(server);
     engine.shutdown();
 }
 

@@ -182,13 +182,15 @@ fn metrics_scrapes_under_load_never_stall_serving() {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // Two producers keep the tiny queue saturated (Busy rejections
-        // are expected and fine — pressure is the point).
+        // are expected and fine — pressure is the point). Softmax, because
+        // table-served σ/tanh/exp is answered inside `submit` and never
+        // queues.
         for _ in 0..2 {
             let handle = engine.handle();
             let stop = &stop;
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    match handle.submit(Request::new(Function::Sigmoid, ramp(fmt, 16))) {
+                    match handle.submit(Request::new(Function::Softmax, ramp(fmt, 16))) {
                         Ok(ticket) => {
                             let _ = ticket.wait_timeout(Duration::from_secs(5));
                         }
