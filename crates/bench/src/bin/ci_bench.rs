@@ -38,9 +38,8 @@
 //!
 //! `--fastpath-only` runs just the fast-path comparison and the
 //! memcpy/gather ceiling measurements (skipping the engine, queue, net,
-//! replay and fault-campaign phases and their gates) — the shape the
-//! `fastpath-simd` CI matrix leg uses to gate both executor families
-//! without paying for the full suite twice.
+//! replay and fault-campaign phases and their gates) — the quick way to
+//! re-measure the fast-path floor without paying for the full suite.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -393,15 +392,11 @@ fn run_benches(
             &format!("{name}_datapath_ops_per_sec"),
             &format!("{:.1}", fast_row.datapath_ops_per_sec),
         );
-        fields.push(
-            &format!("{name}_fast_path_chunked_ops"),
-            &fast_row.fast_path_chunked_ops.to_string(),
-        );
     }
 
     // Streaming ceilings for context next to the fast-path rows: raw
-    // memcpy bandwidth and the bare gather executors with no engine
-    // around them (scalar versus the resolved Auto executor).
+    // memcpy bandwidth and the bare table gather with no engine around
+    // it.
     let ceiling_trials = if smoke { 2 } else { 3 };
     fields.push(
         "memcpy_bandwidth_gbps",
@@ -414,22 +409,7 @@ fn run_benches(
         "gather_ceiling_scalar_ops_per_sec",
         &format!(
             "{:.1}",
-            engine_bench::gather_ceiling_ops_per_sec(
-                nacu_engine::ExecutorSelect::Scalar,
-                512,
-                ceiling_trials
-            )
-        ),
-    );
-    fields.push(
-        "gather_ceiling_vector_ops_per_sec",
-        &format!(
-            "{:.1}",
-            engine_bench::gather_ceiling_ops_per_sec(
-                nacu_engine::ExecutorSelect::Auto,
-                512,
-                ceiling_trials
-            )
+            engine_bench::gather_ceiling_ops_per_sec(512, ceiling_trials)
         ),
     );
 

@@ -109,14 +109,6 @@ impl ResponseTable {
         Fx::from_raw_saturating(i64::from(self.codes[index]), self.format)
     }
 
-    /// The raw output codes, indexed by `(x.raw() - format.min_raw())`.
-    /// Exposed for batch executors that gather many entries per call;
-    /// combine with [`Self::index_mask`] for provably in-bounds indexing.
-    #[must_use]
-    pub fn codes(&self) -> &[i16] {
-        &self.codes
-    }
-
     /// `len() - 1`, usable as an index mask: the table holds exactly
     /// `2^N` entries (asserted at build), so `offset & index_mask()` is
     /// always `< len()`. For any in-range input the AND is a no-op —
@@ -149,8 +141,8 @@ impl ResponseTable {
     }
 
     /// Rewrites every element of `xs` with its table response, in place.
-    /// This is the scalar reference gather the vectorized executors in
-    /// `nacu-engine` are verified against.
+    /// This is the gather `nacu-engine` serves every table-backed batch
+    /// with.
     #[inline]
     pub fn lookup_in_place(&self, xs: &mut [Fx]) {
         for x in xs {
@@ -300,7 +292,6 @@ mod tests {
         for function in [Function::Sigmoid, Function::Tanh, Function::Exp] {
             let table = tables.get(function).expect("unary");
             assert_eq!(table.index_mask(), table.len() - 1);
-            assert_eq!(table.codes().len(), table.len());
             let mut batch: Vec<Fx> = fmt
                 .raw_codes()
                 .map(|raw| Fx::from_raw_saturating(raw, fmt))

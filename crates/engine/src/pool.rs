@@ -38,7 +38,7 @@ use nacu_obs::{Obs, Stage, TraceKind};
 use nacu_replay::Recorder;
 
 use crate::batch::{scalar_function, Request, RequestError, Response};
-use crate::executor::{table_executor, BatchExecutor, DatapathWalk, ExecutorKind, TableExecutor};
+use crate::executor::{BatchExecutor, DatapathWalk};
 use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Coalesce, PushError};
 use crate::report::{modeled_batch_cycles, modeled_checked_batch_cycles};
@@ -101,15 +101,9 @@ pub(crate) struct PoolShared {
     /// One health flag per worker slot; `false` = quarantined.
     pub(crate) health: Arc<Vec<AtomicBool>>,
     /// Response tables for the fast path, `None` when disabled or when
-    /// the format is too wide to tabulate. Workers with a non-empty
-    /// fault plan ignore them (see [`run_worker`]).
+    /// the format is too wide to tabulate. One copy serves every thread;
+    /// workers with a non-empty fault plan ignore it (see [`run_worker`]).
     pub(crate) tables: Option<Arc<ResponseTables>>,
-    /// Resolved table executor every worker serves its fast path with
-    /// (see [`crate::ExecutorSelect::resolve`]).
-    pub(crate) executor: ExecutorKind,
-    /// Give each worker an owned deep copy of the tables instead of a
-    /// borrow of the shared `Arc` allocation.
-    pub(crate) replicate_tables: bool,
     /// Trace recorder workers complete reply halves into, `None` when
     /// the engine runs unrecorded.
     pub(crate) recorder: Option<Arc<Recorder>>,
@@ -155,20 +149,10 @@ fn run_worker(worker: usize, shared: &PoolShared) {
     // injected fault plan must walk the real datapath so the parity /
     // residue detectors see real nets — its tables are simply withheld.
     // (The scrub below always walks the real ROM regardless.)
-    let fast_path_eligible = shared.fault.plan_for(worker).is_empty();
-    // With replication on, the worker gathers from its own deep copy of
-    // the tables — same bytes (Clone of datapath-built contents), but an
-    // allocation no other core ever touches.
-    let replica: Option<ResponseTables> = if fast_path_eligible && shared.replicate_tables {
-        shared.tables.as_deref().cloned()
-    } else {
-        None
-    };
-    let tables = if fast_path_eligible {
-        replica.as_ref().or(shared.tables.as_deref())
-    } else {
-        None
-    };
+    let tables = shared
+        .tables
+        .as_deref()
+        .filter(|_| shared.fault.plan_for(worker).is_empty());
     let mut batches_served: u64 = 0;
     // Every batch is popped into and served from the same scratch Vecs,
     // so the steady-state loop never allocates.
@@ -283,7 +267,7 @@ fn serve_batch(
         return serve_softmax(worker, unit, exp_table, scratch, shared);
     }
     let exec = match tables.and_then(|t| t.get(function)) {
-        Some(table) => Unary::Table(table_executor(shared.executor, table)),
+        Some(table) => Unary::Table(table),
         None => Unary::Datapath(DatapathWalk::new(unit, function)),
     };
     serve_unary(worker, &exec, scratch, shared)
@@ -301,7 +285,7 @@ pub(crate) fn serve_inline(shared: &PoolShared, table: &ResponseTable, job: Job)
     }
     let mut scratch = SCRATCH.take();
     scratch.jobs.push(job);
-    let gather = Unary::Table(table_executor(shared.executor, table));
+    let gather = Unary::Table(table);
     if let Err((event, _)) = serve_unary(shared.health.len(), &gather, &mut scratch, shared) {
         unreachable!("table gathers are infallible: {event}");
     }
@@ -310,12 +294,11 @@ pub(crate) fn serve_inline(shared: &PoolShared, table: &ResponseTable, job: Job)
 
 /// How a unary batch computes its outputs.
 enum Unary<'a> {
-    /// The configured table [`BatchExecutor`]: bit-identical by
-    /// construction (the tables were built by the golden datapath) and
-    /// infallible, so outputs overwrite each operand buffer in place and
-    /// the buffer itself becomes the response — nothing is allocated per
-    /// operand or per request.
-    Table(TableExecutor<'a>),
+    /// The table gather: bit-identical by construction (the tables were
+    /// built by the golden datapath) and infallible, so outputs overwrite
+    /// each operand buffer in place and the buffer itself becomes the
+    /// response — nothing is allocated per operand or per request.
+    Table(&'a ResponseTable),
     /// The worker's checked datapath, into a fresh buffer per job, so a
     /// mid-batch detector event leaves every operand buffer pristine for
     /// the retry path.
@@ -331,7 +314,7 @@ enum Unary<'a> {
 /// The shadow-sampling plan (which operands to sample, and their
 /// pre-overwrite values) is laid out in `scratch.samples` before
 /// execution and observed against the served outputs afterwards, keeping
-/// the executors' gather loops free of sampling branches.
+/// the gather loop free of sampling branches.
 fn serve_unary(
     worker: usize,
     exec: &Unary<'_>,
@@ -380,16 +363,11 @@ fn serve_unary(
     let service_start = Instant::now();
     // `None` = served in place; `Some` = datapath outputs, one per job.
     let outputs_per_job = match exec {
-        Unary::Table(gather) => {
+        Unary::Table(table) => {
             for job in live.iter_mut() {
-                gather
-                    .execute(&mut job.request.operands)
-                    .expect("table executors are infallible");
+                table.lookup_in_place(&mut job.request.operands);
             }
             metrics.record_fast_path_ops(batch_ops as u64);
-            if gather.kind().vectorized() {
-                metrics.record_fast_path_chunked_ops(batch_ops as u64);
-            }
             None
         }
         Unary::Datapath(walk) => {
@@ -619,8 +597,6 @@ mod tests {
             obs: Arc::new(Obs::with_trace_capacity(64)),
             health: Arc::new((0..slots).map(|_| AtomicBool::new(true)).collect()),
             tables: None,
-            executor: crate::ExecutorSelect::Auto.resolve(),
-            replicate_tables: false,
             recorder: None,
         })
     }
@@ -667,46 +643,32 @@ mod tests {
 
     /// The fast path answers from the tables, bit-identical to the
     /// datapath, and the served operands are counted on the dedicated
-    /// counter alongside the per-function one — for every table
-    /// executor the pool can be configured with. Vectorized executors
-    /// additionally land on the chunked-ops counter; the scalar one
-    /// does not.
+    /// counter alongside the per-function one.
     #[test]
     fn fast_path_serves_bit_identical_outputs_and_counts_ops() {
-        use crate::ExecutorSelect;
-        for select in [
-            ExecutorSelect::Auto,
-            ExecutorSelect::Scalar,
-            ExecutorSelect::Chunked,
-            ExecutorSelect::Simd,
-        ] {
-            let mut s = shared(Vec::new(), 1);
-            Arc::get_mut(&mut s).expect("sole owner").executor = select.resolve();
-            let unit = CheckedNacu::new(s.config).expect("paper config");
-            let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
-            let (a, a_rx) = job(&s, 0.25);
-            let (b, b_rx) = job(&s, -1.5);
-            serve(0, &unit, Some(&tables), vec![a, b], &s).expect("infallible fast path");
-            let fmt = s.config.format;
-            let expect = |v: f64| {
-                unit.golden()
-                    .sigmoid(Fx::from_f64(v, fmt, Rounding::Nearest))
-            };
-            let a_out = a_rx.try_wait().expect("reply").expect("served");
-            let b_out = b_rx.try_wait().expect("reply").expect("served");
-            assert_eq!(a_out.outputs, vec![expect(0.25)], "{select:?}");
-            assert_eq!(b_out.outputs, vec![expect(-1.5)], "{select:?}");
-            let m = s.metrics.snapshot();
-            assert_eq!(m.fast_path_ops, 2, "{select:?}");
-            let expected_chunked = if select.resolve().vectorized() { 2 } else { 0 };
-            assert_eq!(m.fast_path_chunked_ops, expected_chunked, "{select:?}");
-            assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
-            assert_eq!(
-                m.modeled_cycles,
-                modeled_batch_cycles(Function::Sigmoid, 2),
-                "Table I accounting models the hardware, not the software path"
-            );
-        }
+        let s = shared(Vec::new(), 1);
+        let unit = CheckedNacu::new(s.config).expect("paper config");
+        let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
+        let (a, a_rx) = job(&s, 0.25);
+        let (b, b_rx) = job(&s, -1.5);
+        serve(0, &unit, Some(&tables), vec![a, b], &s).expect("infallible fast path");
+        let fmt = s.config.format;
+        let expect = |v: f64| {
+            unit.golden()
+                .sigmoid(Fx::from_f64(v, fmt, Rounding::Nearest))
+        };
+        let a_out = a_rx.try_wait().expect("reply").expect("served");
+        let b_out = b_rx.try_wait().expect("reply").expect("served");
+        assert_eq!(a_out.outputs, vec![expect(0.25)]);
+        assert_eq!(b_out.outputs, vec![expect(-1.5)]);
+        let m = s.metrics.snapshot();
+        assert_eq!(m.fast_path_ops, 2);
+        assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
+        assert_eq!(
+            m.modeled_cycles,
+            modeled_batch_cycles(Function::Sigmoid, 2),
+            "Table I accounting models the hardware, not the software path"
+        );
     }
 
     /// Softmax on the fast path: the exp stage comes from the table, the
@@ -736,12 +698,7 @@ mod tests {
             ticket.try_wait().expect("reply").expect("served").outputs,
             golden
         );
-        let m = s.metrics.snapshot();
-        assert_eq!(m.fast_path_ops, xs.len() as u64);
-        assert_eq!(
-            m.fast_path_chunked_ops, 0,
-            "softmax's scalar exp stage is not a vectorized gather"
-        );
+        assert_eq!(s.metrics.snapshot().fast_path_ops, xs.len() as u64);
     }
 
     /// Deterministic unit test of the retry path: a faulted worker's
@@ -872,8 +829,6 @@ mod tests {
             ),
             health: Arc::new(vec![AtomicBool::new(true)]),
             tables: None,
-            executor: crate::ExecutorSelect::Auto.resolve(),
-            replicate_tables: false,
             recorder: None,
         });
         let unit = CheckedNacu::new(s.config)

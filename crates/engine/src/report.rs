@@ -124,11 +124,8 @@ pub struct ThroughputReport {
     pub retries: u64,
     /// Workers quarantined during the interval.
     pub workers_quarantined: u64,
-    /// Operands served straight from a response table (any executor).
+    /// Operands served straight from a response table.
     pub fast_path_ops: u64,
-    /// Fast-path operands that went through a vectorized (chunked or
-    /// SIMD) gather — a subset of `fast_path_ops`.
-    pub fast_path_chunked_ops: u64,
     /// Queue-wait latency distribution (submission → batch pickup),
     /// merged across functions. Zeroed until filled by
     /// [`ThroughputReport::with_observability`].
@@ -173,7 +170,6 @@ impl ThroughputReport {
             retries: delta.retries,
             workers_quarantined: delta.workers_quarantined,
             fast_path_ops: delta.fast_path_ops,
-            fast_path_chunked_ops: delta.fast_path_chunked_ops,
             queue_wait: LatencySummary::default(),
             end_to_end: LatencySummary::default(),
             checked_cycles: 0,
@@ -331,11 +327,7 @@ impl std::fmt::Display for ThroughputReport {
             )?;
         }
         if self.fast_path_ops > 0 {
-            write!(
-                f,
-                "; {} table-served op(s) ({} vectorized)",
-                self.fast_path_ops, self.fast_path_chunked_ops,
-            )?;
+            write!(f, "; {} table-served op(s)", self.fast_path_ops)?;
         }
         if self.faults_detected > 0 || self.workers_quarantined > 0 {
             write!(
@@ -405,17 +397,12 @@ mod tests {
     fn fast_path_counts_flow_from_the_interval_and_render() {
         let delta = crate::metrics::MetricsSnapshot {
             fast_path_ops: 96,
-            fast_path_chunked_ops: 64,
             ..crate::metrics::MetricsSnapshot::default()
         };
         let r = ThroughputReport::from_interval(&delta, Duration::from_millis(1), 1);
         assert_eq!(r.fast_path_ops, 96);
-        assert_eq!(r.fast_path_chunked_ops, 64);
         let rendered = format!("{r}");
-        assert!(
-            rendered.contains("96 table-served op(s) (64 vectorized)"),
-            "{rendered}"
-        );
+        assert!(rendered.contains("96 table-served op(s)"), "{rendered}");
         // Reports with no table traffic keep the section out entirely.
         let quiet = format!("{}", ThroughputReport::default());
         assert!(!quiet.contains("table-served"), "{quiet}");

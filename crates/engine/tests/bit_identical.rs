@@ -8,7 +8,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use nacu::{Function, Nacu, NacuConfig};
-use nacu_engine::{Engine, EngineConfig, ExecutorSelect, Request};
+use nacu_engine::{Engine, EngineConfig, Request};
 use nacu_fixed::{Fx, Rounding};
 
 fn pool(config: NacuConfig, workers: usize) -> Engine {
@@ -29,11 +29,11 @@ fn to_operands(values: &[f64], config: NacuConfig) -> Vec<Fx> {
 }
 
 /// Drives every raw input code of `config`'s format through two engines —
-/// fast path enabled (on the given executor) and disabled — and checks
+/// fast path enabled and disabled — and checks
 /// both against the sequential datapath, for all three unary functions.
 /// Chunked waves keep all four workers of each engine busy while the test
 /// thread computes the reference.
-fn exhaustive_engine_sweep(config: NacuConfig, select: ExecutorSelect, expect_fast: bool) {
+fn exhaustive_engine_sweep(config: NacuConfig, expect_fast: bool) {
     use nacu_engine::Ticket;
     let sequential = Nacu::new(config).expect("builds");
     let fmt = config.format;
@@ -43,8 +43,7 @@ fn exhaustive_engine_sweep(config: NacuConfig, select: ExecutorSelect, expect_fa
                 .with_workers(4)
                 .with_queue_capacity(64)
                 .with_max_coalesced_requests(8)
-                .with_fast_path(fast)
-                .with_executor(select),
+                .with_fast_path(fast),
         )
         .expect("validated config")
     };
@@ -78,7 +77,7 @@ fn exhaustive_engine_sweep(config: NacuConfig, select: ExecutorSelect, expect_fa
                 assert_eq!(
                     t_on.wait().expect("served").outputs,
                     expected,
-                    "fast-path engine ({select:?}) diverged on {function}"
+                    "fast-path engine diverged on {function}"
                 );
                 assert_eq!(
                     t_off.wait().expect("served").outputs,
@@ -116,23 +115,7 @@ fn exhaustive_q4_11_sweep_is_bit_identical_fast_path_on_and_off() {
         (config.format.int_bits(), config.format.frac_bits()),
         (4, 11)
     );
-    exhaustive_engine_sweep(config, ExecutorSelect::Auto, true);
-}
-
-/// The exhaustive Q4.11 sweep again, once per explicit executor
-/// selection: the scalar gather, the chunked autovectorized gather, and
-/// the manual-SIMD gather (which degrades to chunked when the `simd`
-/// feature is off) must all be interchangeable bit for bit.
-#[test]
-fn exhaustive_q4_11_sweep_is_bit_identical_for_every_executor() {
-    let config = NacuConfig::paper_16bit();
-    for select in [
-        ExecutorSelect::Scalar,
-        ExecutorSelect::Chunked,
-        ExecutorSelect::Simd,
-    ] {
-        exhaustive_engine_sweep(config, select, true);
-    }
+    exhaustive_engine_sweep(config, true);
 }
 
 /// The same exhaustive sweep at Q4.15 (20-bit words): past the table
@@ -146,7 +129,7 @@ fn exhaustive_q4_15_sweep_falls_back_to_the_datapath() {
         (4, 15),
         "the 20-bit Eq. 7 dimensioning is Q4.15"
     );
-    exhaustive_engine_sweep(config, ExecutorSelect::Auto, false);
+    exhaustive_engine_sweep(config, false);
 }
 
 proptest! {

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use nacu::{Function, Nacu, NacuConfig};
 use nacu_engine::{
-    Engine, EngineConfig, ExecutorSelect, Fault, FaultPlan, FaultTolerance, InjectionSite, Request,
-    SubmitError, WaitError,
+    Engine, EngineConfig, Fault, FaultPlan, FaultTolerance, InjectionSite, Request, SubmitError,
+    WaitError,
 };
 use nacu_fixed::{Fx, Rounding};
 
@@ -116,52 +116,39 @@ fn fully_broken_pool_fails_closed_with_typed_errors() {
 
 /// The fast-path fallback rule: a worker with an injected LUT fault must
 /// serve from the real datapath, where the parity detector sees the
-/// corrupted net — never from the response tables (scalar, chunked *or*
-/// SIMD), which would mask the fault behind the golden builder's answers.
-/// The fast path is left at its default (enabled); the fault plan alone
-/// forces the fallback, whatever executor the config asks for.
+/// corrupted net — never from the response tables, which would mask the
+/// fault behind the golden builder's answers. The fast path is left at
+/// its default (enabled); the fault plan alone forces the fallback.
 #[test]
 fn fault_injected_worker_serves_from_the_datapath_not_the_table() {
-    for select in [
-        ExecutorSelect::Auto,
-        ExecutorSelect::Scalar,
-        ExecutorSelect::Chunked,
-        ExecutorSelect::Simd,
-    ] {
-        let engine = Engine::new(
-            EngineConfig::new(NacuConfig::paper_16bit())
-                .with_workers(1)
-                .with_executor(select)
-                .with_fault_tolerance(FaultTolerance {
-                    plans: vec![broken_plan()],
-                    ..FaultTolerance::default()
-                }),
-        )
-        .expect("paper config");
-        // x ≈ 0 reads the corrupted LUT entry. Had the table served this,
-        // the lookup would have returned the golden value and no detector
-        // could ever have fired.
-        let err = engine
-            .submit(Request::new(Function::Sigmoid, operands(&engine, 4)))
-            .expect("queue accepts before the fault is seen")
-            .wait()
-            .expect_err("the datapath's parity detector fires");
-        assert_eq!(err, WaitError::NoHealthyWorkers, "{select:?}");
-        let m = engine.metrics();
-        assert!(
-            m.faults_detected >= 1,
-            "{select:?}: the corrupted net was exercised and detected"
-        );
-        assert_eq!(
-            m.fast_path_ops, 0,
-            "{select:?}: the response tables never served the faulted worker"
-        );
-        assert_eq!(
-            m.fast_path_chunked_ops, 0,
-            "{select:?}: no vectorized gather ran on the faulted worker"
-        );
-        engine.shutdown();
-    }
+    let engine = Engine::new(
+        EngineConfig::new(NacuConfig::paper_16bit())
+            .with_workers(1)
+            .with_fault_tolerance(FaultTolerance {
+                plans: vec![broken_plan()],
+                ..FaultTolerance::default()
+            }),
+    )
+    .expect("paper config");
+    // x ≈ 0 reads the corrupted LUT entry. Had the table served this,
+    // the lookup would have returned the golden value and no detector
+    // could ever have fired.
+    let err = engine
+        .submit(Request::new(Function::Sigmoid, operands(&engine, 4)))
+        .expect("queue accepts before the fault is seen")
+        .wait()
+        .expect_err("the datapath's parity detector fires");
+    assert_eq!(err, WaitError::NoHealthyWorkers);
+    let m = engine.metrics();
+    assert!(
+        m.faults_detected >= 1,
+        "the corrupted net was exercised and detected"
+    );
+    assert_eq!(
+        m.fast_path_ops, 0,
+        "the response tables never served the faulted worker"
+    );
+    engine.shutdown();
 }
 
 /// Requests that only touch healthy LUT entries sail through a broken

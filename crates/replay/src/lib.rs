@@ -34,7 +34,7 @@ pub mod replay;
 
 pub use log::{
     RecordDecodeError, TraceDecodeError, TraceLog, TraceRecord, FILE_HEADER_LEN, MAGIC,
-    RECORD_HEADER_LEN, RECORD_HEADER_LEN_V1, VERSION, VERSION_V1,
+    RECORD_HEADER_LEN, VERSION,
 };
 pub use record::{Recorder, NO_RECORD_SLOT};
 pub use replay::{

@@ -1,19 +1,18 @@
 //! The versioned binary trace-log format.
 //!
 //! A trace log is a file header followed by length-prefixed records, all
-//! little-endian. This build *writes* version 2 and *reads* versions 1
-//! and 2; v1 records decode with a zero connection id and a zero submit
-//! timestamp.
+//! little-endian. This build writes and reads version 2 only; any other
+//! version is rejected as [`TraceDecodeError::BadVersion`].
 //!
 //! ```text
 //! file header (12 bytes)
 //! offset  size  field
 //!      0     4  magic            "NTRC" (0x4352544E little-endian)
-//!      4     1  version          1 or 2
+//!      4     1  version          2
 //!      5     3  reserved         always 0
 //!      8     4  record count
 //!
-//! v2 record (length-prefixed)
+//! record (length-prefixed)
 //! offset  size  field
 //!      0     4  length           byte count of the remainder
 //!      4     1  function         0 σ · 1 tanh · 2 exp · 3 softmax
@@ -28,15 +27,6 @@
 //!     40     4  response count   m
 //!     44    2n  operand codes    raw two's-complement i16 fixed codes
 //!   44+2n  2m  response codes
-//!
-//! v1 record (read-only; no conn id / submit µs fields)
-//! offset  size  field
-//!      0     4  length
-//!   4..24      as v2
-//!     24     4  operand count    n (≥ 1)
-//!     28     4  response count   m
-//!     32    2n  operand codes
-//!   32+2n  2m  response codes
 //! ```
 //!
 //! Decoding never panics: every malformed byte sequence maps onto a
@@ -51,17 +41,12 @@ use nacu_fixed::QFormat;
 
 /// `"NTRC"` interpreted as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"NTRC");
-/// The trace-log version this build writes.
+/// The trace-log version this build writes and reads.
 pub const VERSION: u8 = 2;
-/// The legacy version this build still reads (no conn id / submit µs).
-pub const VERSION_V1: u8 = 1;
 /// File bytes before the first record.
 pub const FILE_HEADER_LEN: usize = 12;
-/// Record bytes between the length prefix and the operand codes (v2).
+/// Record bytes between the length prefix and the operand codes.
 pub const RECORD_HEADER_LEN: usize = 40;
-/// Record bytes between the length prefix and the operand codes in a
-/// legacy v1 log.
-pub const RECORD_HEADER_LEN_V1: usize = 28;
 
 /// Trace-log id for a servable function (MAC is stateful and is never
 /// recorded). Same id space as the `nacu-net` wire protocol.
@@ -103,10 +88,10 @@ pub struct TraceRecord {
     /// outcomes timing-dependent instead of deterministic.
     pub deadline_micros: u64,
     /// Net-plane connection id the request arrived on; 0 = in-process
-    /// (the engine's own clients). Decodes as 0 from v1 logs.
+    /// (the engine's own clients).
     pub conn: u32,
     /// Submission time in microseconds since the recorder's epoch; 0 =
-    /// unknown (v1 logs, or a timing-stripped canonical trace). Paced
+    /// unknown (a timing-stripped canonical trace). Paced
     /// replay re-applies the inter-arrival gaps between these stamps.
     pub submit_micros: u64,
     /// Raw operand codes as submitted (captured before serving, so the
@@ -204,7 +189,7 @@ impl TraceLog {
             return Err(TraceDecodeError::BadMagic(magic));
         }
         let version = bytes[4];
-        if version != VERSION && version != VERSION_V1 {
+        if version != VERSION {
             return Err(TraceDecodeError::BadVersion(version));
         }
         let declared = u32_at(bytes, 8);
@@ -212,7 +197,7 @@ impl TraceLog {
         let mut at = FILE_HEADER_LEN;
         let mut index = 0usize;
         while at < bytes.len() {
-            let (record, consumed) = decode_record(&bytes[at..], version, max_ops)
+            let (record, consumed) = decode_record(&bytes[at..], max_ops)
                 .map_err(|error| TraceDecodeError::Record { index, error })?;
             records.push(record);
             at += consumed;
@@ -228,18 +213,9 @@ impl TraceLog {
     }
 }
 
-/// Decodes one length-prefixed record (of `version` layout) from the
-/// front of `bytes`, returning it and the bytes consumed.
-fn decode_record(
-    bytes: &[u8],
-    version: u8,
-    max_ops: u32,
-) -> Result<(TraceRecord, usize), RecordDecodeError> {
-    let header_len = if version == VERSION_V1 {
-        RECORD_HEADER_LEN_V1
-    } else {
-        RECORD_HEADER_LEN
-    };
+/// Decodes one length-prefixed record from the front of `bytes`,
+/// returning it and the bytes consumed.
+fn decode_record(bytes: &[u8], max_ops: u32) -> Result<(TraceRecord, usize), RecordDecodeError> {
     if bytes.len() < 4 {
         return Err(RecordDecodeError::Truncated {
             needed: 4,
@@ -250,7 +226,7 @@ fn decode_record(
     // Bound the declared length before trusting it: the per-record ops
     // cap limits a record to a computable byte count, so a huge length
     // prefix is rejected without ever being allocated or skipped over.
-    let max_len = header_len + 4 * max_ops as usize;
+    let max_len = RECORD_HEADER_LEN + 4 * max_ops as usize;
     if len > max_len {
         return Err(RecordDecodeError::Oversize {
             count: (len / 2).min(u32::MAX as usize) as u32,
@@ -264,9 +240,9 @@ fn decode_record(
         });
     }
     let body = &bytes[4..4 + len];
-    if body.len() < header_len {
+    if body.len() < RECORD_HEADER_LEN {
         return Err(RecordDecodeError::Truncated {
-            needed: header_len,
+            needed: RECORD_HEADER_LEN,
             got: body.len(),
         });
     }
@@ -287,15 +263,10 @@ fn decode_record(
     }
     let id = u64_at(body, 4);
     let deadline_micros = u64_at(body, 12);
-    // v1 records carry no conn/submit fields; the counts follow the
-    // deadline directly.
-    let (conn, submit_micros, counts_at) = if version == VERSION_V1 {
-        (0, 0, 20)
-    } else {
-        (u32_at(body, 20), u64_at(body, 24), 32)
-    };
-    let operand_count = u32_at(body, counts_at);
-    let response_count = u32_at(body, counts_at + 4);
+    let conn = u32_at(body, 20);
+    let submit_micros = u64_at(body, 24);
+    let operand_count = u32_at(body, 32);
+    let response_count = u32_at(body, 36);
     if operand_count == 0 {
         return Err(RecordDecodeError::EmptyOperands);
     }
@@ -305,16 +276,16 @@ fn decode_record(
             max: max_ops,
         });
     }
-    let required = header_len + 2 * (operand_count as usize + response_count as usize);
+    let required = RECORD_HEADER_LEN + 2 * (operand_count as usize + response_count as usize);
     if body.len() != required {
         return Err(RecordDecodeError::LengthMismatch {
             required,
             got: body.len(),
         });
     }
-    let operands = codes(&body[header_len..], operand_count as usize);
+    let operands = codes(&body[RECORD_HEADER_LEN..], operand_count as usize);
     let responses = codes(
-        &body[header_len + 2 * operand_count as usize..],
+        &body[RECORD_HEADER_LEN + 2 * operand_count as usize..],
         response_count as usize,
     );
     Ok((
@@ -515,35 +486,6 @@ mod tests {
         }
     }
 
-    /// Re-encodes `log` in the legacy v1 layout (no conn/submit fields),
-    /// as an old build would have written it.
-    fn encode_v1(log: &TraceLog) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(VERSION_V1);
-        out.extend_from_slice(&[0, 0, 0]);
-        out.extend_from_slice(&(log.records.len() as u32).to_le_bytes());
-        for record in &log.records {
-            let len = RECORD_HEADER_LEN_V1 + 2 * record.operands.len() + 2 * record.responses.len();
-            out.extend_from_slice(&(len as u32).to_le_bytes());
-            out.push(function_id(record.function).unwrap_or(u8::MAX));
-            out.push(record.format.int_bits() as u8);
-            out.push(record.format.frac_bits() as u8);
-            out.push(0);
-            out.extend_from_slice(&record.id.to_le_bytes());
-            out.extend_from_slice(&record.deadline_micros.to_le_bytes());
-            out.extend_from_slice(&(record.operands.len() as u32).to_le_bytes());
-            out.extend_from_slice(&(record.responses.len() as u32).to_le_bytes());
-            for &code in &record.operands {
-                out.extend_from_slice(&code.to_le_bytes());
-            }
-            for &code in &record.responses {
-                out.extend_from_slice(&code.to_le_bytes());
-            }
-        }
-        out
-    }
-
     #[test]
     fn encode_decode_round_trips() {
         let log = sample();
@@ -553,26 +495,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_logs_decode_with_zero_conn_and_submit() {
-        let log = sample();
-        let bytes = encode_v1(&log);
-        let decoded = TraceLog::decode(&bytes, 1 << 16).expect("v1 decodes");
-        assert_eq!(decoded.records.len(), log.records.len());
-        for (got, want) in decoded.records.iter().zip(&log.records) {
-            assert_eq!(got.function, want.function);
-            assert_eq!(got.id, want.id);
-            assert_eq!(got.deadline_micros, want.deadline_micros);
-            assert_eq!(got.operands, want.operands);
-            assert_eq!(got.responses, want.responses);
-            assert_eq!(got.conn, 0, "v1 carries no conn id");
-            assert_eq!(got.submit_micros, 0, "v1 carries no submit stamp");
-        }
-        // Truncated v1 prefixes are typed errors too, never panics.
-        for cut in 0..bytes.len() {
-            let _ = TraceLog::decode(&bytes[..cut], 1 << 16)
-                .expect_err("every v1 prefix is malformed")
-                .to_string();
-        }
+    fn v1_logs_are_rejected_as_a_bad_version() {
+        let mut bytes = sample().encode();
+        bytes[4] = 1;
+        assert_eq!(
+            TraceLog::decode(&bytes, 1 << 16),
+            Err(TraceDecodeError::BadVersion(1))
+        );
     }
 
     #[test]

@@ -179,7 +179,7 @@ where
 /// The recorded inter-arrival gap *before* each record: `gaps[i]` is how
 /// long after record `i−1` record `i` was submitted (`gaps[0]` is zero —
 /// paced replay starts immediately). Records with zero submit stamps
-/// (v1 logs, timing-stripped canonical traces) yield zero gaps, so paced
+/// (timing-stripped canonical traces) yield zero gaps, so paced
 /// replay of an unstamped trace degenerates to ordinary replay.
 #[must_use]
 pub fn inter_arrival_gaps(log: &TraceLog) -> Vec<std::time::Duration> {
@@ -329,7 +329,7 @@ mod tests {
                 std::time::Duration::ZERO,
             ]
         );
-        // An unstamped (v1 / stripped) log yields all-zero gaps.
+        // An unstamped (stripped) log yields all-zero gaps.
         log.strip_timing();
         assert!(inter_arrival_gaps(&log)
             .iter()

@@ -4,8 +4,9 @@
 //! `EngineHandle::submit`, on the calling thread; with the fast path off
 //! the same requests travel through the queue to a pool worker walking
 //! the datapath. Both must reproduce the sequential [`Nacu`] for every
-//! code of the paper's 16-bit format. Engines carrying a fault plan must
-//! keep using the pool, whose workers run the detectors.
+//! code of the paper's 16-bit format, and so must softmax, which always
+//! runs on the pool. Engines carrying a fault plan must keep using the
+//! pool, whose workers run the detectors.
 
 use nacu::{Function, Nacu, NacuConfig};
 use nacu_engine::{Engine, EngineConfig, Fault, FaultPlan, FaultTolerance, InjectionSite, Request};
@@ -79,6 +80,47 @@ fn pool_datapath_matches_the_datapath_for_every_code() {
     let m = engine.shutdown();
     assert!(m.queue_depth_high_water > 0);
     assert_eq!(m.fast_path_ops, 0);
+}
+
+/// Softmax always travels through the pool; a default engine's workers
+/// draw its exp stage from the one shared table copy, a fast-path-off
+/// engine's walk the datapath. Every code, as 16-element vectors, must
+/// match the sequential `Nacu::softmax` either way.
+#[test]
+fn pool_softmax_matches_the_datapath_for_every_code() {
+    const VECTOR: usize = 16;
+    let config = NacuConfig::paper_16bit();
+    let golden = Nacu::new(config).expect("paper config");
+    let codes = every_code(&config);
+    for fast in [true, false] {
+        let engine = engine(EngineConfig::new(config).with_fast_path(fast));
+        let handle = engine.handle();
+        // Waves of at most half the queue, so no submit meets `Busy`.
+        for wave in codes.chunks(VECTOR * 512) {
+            let tickets: Vec<_> = wave
+                .chunks(VECTOR)
+                .map(|xs| {
+                    handle
+                        .submit(Request::new(Function::Softmax, xs.to_vec()))
+                        .expect("queue sized for the wave")
+                })
+                .collect();
+            for (xs, ticket) in wave.chunks(VECTOR).zip(tickets) {
+                let response = ticket.wait().expect("served");
+                assert_eq!(
+                    response.outputs,
+                    golden.softmax(xs).expect("valid vector"),
+                    "softmax diverged (fast path {fast})"
+                );
+                assert!(
+                    response.worker < engine.workers(),
+                    "softmax skipped the pool"
+                );
+            }
+        }
+        let expected_table_ops = if fast { codes.len() as u64 } else { 0 };
+        assert_eq!(engine.shutdown().fast_path_ops, expected_table_ops);
+    }
 }
 
 /// One worker slot with a fault plan keeps the whole engine on the pool,
