@@ -383,7 +383,7 @@ pub fn gather_ceiling_ops_per_sec(batch: usize, trials: usize) -> f64 {
 /// Raw submit-queue throughput: `producers` threads pushing keyed items
 /// through a [`nacu_engine::queue::BoundedQueue`] against `consumers`
 /// batch-popping threads, measured in items/s. This is the queue in
-/// isolation — no NACU arithmetic — so it tracks the lock-free ring's
+/// isolation — no NACU arithmetic — so it tracks the queue's
 /// handoff cost alone.
 ///
 /// # Panics

@@ -20,10 +20,11 @@ pub struct EngineMetrics {
     busy_rejections: AtomicU64,
     batches_executed: AtomicU64,
     coalesced_requests: AtomicU64,
-    sigmoid_ops: AtomicU64,
-    tanh_ops: AtomicU64,
-    exp_ops: AtomicU64,
-    softmax_ops: AtomicU64,
+    /// Operands served, by function (σ, tanh, exp, softmax) and by path
+    /// (`[datapath, table]`). A batch bumps exactly one of them, so a
+    /// snapshot derives the per-function totals and `fast_path_ops` from
+    /// the same loads and they always agree.
+    ops: [[AtomicU64; 2]; 4],
     modeled_cycles: AtomicU64,
     queue_depth_high_water: AtomicU64,
     faults_detected: AtomicU64,
@@ -31,7 +32,6 @@ pub struct EngineMetrics {
     retries: AtomicU64,
     requests_failed: AtomicU64,
     drift_alarms: AtomicU64,
-    fast_path_ops: AtomicU64,
     net_connections_accepted: AtomicU64,
     net_connections_rejected: AtomicU64,
     net_frames_in: AtomicU64,
@@ -90,12 +90,6 @@ impl EngineMetrics {
 
     pub(crate) fn record_drift_alarm(&self) {
         self.drift_alarms.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `ops` operands answered from the response tables instead of the
-    /// datapath (always also counted in the per-function op counters).
-    pub(crate) fn record_fast_path_ops(&self, ops: u64) {
-        self.fast_path_ops.fetch_add(ops, Ordering::Relaxed);
     }
 
     // The `net_*` recorders are `pub`, not `pub(crate)`: the wire
@@ -188,29 +182,43 @@ impl EngineMetrics {
     }
 
     /// One fused hardware batch: `requests` requests totalling `ops`
-    /// operands of `function`, costing `cycles` modeled cycles.
-    pub(crate) fn record_batch(&self, function: Function, requests: u64, ops: u64, cycles: u64) {
+    /// operands of `function`, costing `cycles` modeled cycles, answered
+    /// from the response tables when `table_served`, else the datapath.
+    pub(crate) fn record_batch(
+        &self,
+        function: Function,
+        requests: u64,
+        ops: u64,
+        cycles: u64,
+        table_served: bool,
+    ) {
         self.batches_executed.fetch_add(1, Ordering::Relaxed);
         self.requests_completed
             .fetch_add(requests, Ordering::Relaxed);
         self.coalesced_requests
             .fetch_add(requests.saturating_sub(1), Ordering::Relaxed);
         self.modeled_cycles.fetch_add(cycles, Ordering::Relaxed);
-        let counter = match function {
-            Function::Sigmoid => &self.sigmoid_ops,
-            Function::Tanh => &self.tanh_ops,
-            Function::Exp => &self.exp_ops,
-            Function::Softmax => &self.softmax_ops,
+        let per_path = match function {
+            Function::Sigmoid => &self.ops[0],
+            Function::Tanh => &self.ops[1],
+            Function::Exp => &self.ops[2],
+            Function::Softmax => &self.ops[3],
             // Mac (and any future function) is rejected at submission;
             // count it nowhere.
             _ => return,
         };
-        counter.fetch_add(ops, Ordering::Relaxed);
+        per_path[usize::from(table_served)].fetch_add(ops, Ordering::Relaxed);
     }
 
     /// A consistent-enough point-in-time copy of every counter.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let ops = self
+            .ops
+            .each_ref()
+            .map(|per_path| per_path.each_ref().map(|c| c.load(Ordering::Relaxed)));
+        let [sigmoid_ops, tanh_ops, exp_ops, softmax_ops] =
+            ops.map(|[datapath, table]| datapath + table);
         MetricsSnapshot {
             requests_submitted: self.requests_submitted.load(Ordering::Relaxed),
             requests_completed: self.requests_completed.load(Ordering::Relaxed),
@@ -218,10 +226,10 @@ impl EngineMetrics {
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             batches_executed: self.batches_executed.load(Ordering::Relaxed),
             coalesced_requests: self.coalesced_requests.load(Ordering::Relaxed),
-            sigmoid_ops: self.sigmoid_ops.load(Ordering::Relaxed),
-            tanh_ops: self.tanh_ops.load(Ordering::Relaxed),
-            exp_ops: self.exp_ops.load(Ordering::Relaxed),
-            softmax_ops: self.softmax_ops.load(Ordering::Relaxed),
+            sigmoid_ops,
+            tanh_ops,
+            exp_ops,
+            softmax_ops,
             modeled_cycles: self.modeled_cycles.load(Ordering::Relaxed),
             queue_depth_high_water: self.queue_depth_high_water.load(Ordering::Relaxed),
             faults_detected: self.faults_detected.load(Ordering::Relaxed),
@@ -229,7 +237,7 @@ impl EngineMetrics {
             retries: self.retries.load(Ordering::Relaxed),
             requests_failed: self.requests_failed.load(Ordering::Relaxed),
             drift_alarms: self.drift_alarms.load(Ordering::Relaxed),
-            fast_path_ops: self.fast_path_ops.load(Ordering::Relaxed),
+            fast_path_ops: ops.iter().map(|[_, table]| table).sum(),
             net_connections_accepted: self.net_connections_accepted.load(Ordering::Relaxed),
             net_connections_rejected: self.net_connections_rejected.load(Ordering::Relaxed),
             net_frames_in: self.net_frames_in.load(Ordering::Relaxed),
@@ -488,8 +496,8 @@ mod tests {
     #[test]
     fn batches_accumulate_per_function_ops() {
         let m = EngineMetrics::new();
-        m.record_batch(Function::Sigmoid, 3, 10, 12);
-        m.record_batch(Function::Softmax, 1, 16, 46);
+        m.record_batch(Function::Sigmoid, 3, 10, 12, false);
+        m.record_batch(Function::Softmax, 1, 16, 46, false);
         let s = m.snapshot();
         assert_eq!(s.batches_executed, 2);
         assert_eq!(s.requests_completed, 4);
@@ -636,16 +644,45 @@ mod tests {
     #[test]
     fn fast_path_ops_accumulate_and_export() {
         let m = EngineMetrics::new();
-        m.record_fast_path_ops(64);
-        m.record_fast_path_ops(16);
+        m.record_batch(Function::Sigmoid, 1, 64, 66, true);
+        m.record_batch(Function::Softmax, 1, 16, 46, true);
+        m.record_batch(Function::Tanh, 1, 8, 10, false);
         let s = m.snapshot();
         assert_eq!(s.fast_path_ops, 80);
+        assert_eq!(s.total_ops(), 88);
         assert!(s
             .exporter_counters()
             .iter()
             .any(|&(n, v)| n == "nacu_engine_fast_path_ops_total" && v == 80));
         let d = s.since(&MetricsSnapshot::default());
         assert_eq!(d.fast_path_ops, 80);
+    }
+
+    /// Table-served batches recorded on one thread while another takes
+    /// snapshots: every snapshot must count each operand both as
+    /// table-served and in its function's total, never one without the
+    /// other.
+    #[test]
+    fn snapshots_never_split_a_table_batch_across_counters() {
+        const BATCHES: u64 = 200_000;
+        let m = EngineMetrics::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let functions = [Function::Sigmoid, Function::Tanh, Function::Exp];
+                for i in 0..BATCHES {
+                    m.record_batch(functions[(i % 3) as usize], 1, 8, 10, true);
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut snapshots = 0u64;
+            while !done.load(Ordering::Acquire) || snapshots == 0 {
+                let s = m.snapshot();
+                assert_eq!(s.fast_path_ops, s.total_ops(), "snapshot {snapshots}");
+                snapshots += 1;
+            }
+        });
+        assert_eq!(m.snapshot().fast_path_ops, 8 * BATCHES);
     }
 
     #[test]
@@ -677,9 +714,9 @@ mod tests {
     #[test]
     fn since_diffs_counters_but_not_high_water() {
         let m = EngineMetrics::new();
-        m.record_batch(Function::Tanh, 1, 4, 6);
+        m.record_batch(Function::Tanh, 1, 4, 6, false);
         let early = m.snapshot();
-        m.record_batch(Function::Tanh, 2, 8, 10);
+        m.record_batch(Function::Tanh, 2, 8, 10, false);
         m.record_queue_depth(7);
         let late = m.snapshot();
         let d = late.since(&early);

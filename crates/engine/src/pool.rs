@@ -367,7 +367,6 @@ fn serve_unary(
             for job in live.iter_mut() {
                 table.lookup_in_place(&mut job.request.operands);
             }
-            metrics.record_fast_path_ops(batch_ops as u64);
             None
         }
         Unary::Datapath(walk) => {
@@ -399,7 +398,16 @@ fn serve_unary(
         }
     }
     let service_ns = as_ns(service_start.elapsed());
-    finish_batch(worker, function, live.len(), batch_ops, service_ns, shared);
+    let table_served = matches!(exec, Unary::Table(_));
+    finish_batch(
+        worker,
+        function,
+        live.len(),
+        batch_ops,
+        table_served,
+        service_ns,
+        shared,
+    );
     match outputs_per_job {
         None => {
             for job in live.iter_mut() {
@@ -444,12 +452,9 @@ fn serve_softmax(
         let operands = &live[index].request.operands;
         let outputs = if let Some(table) = exp_table {
             // Infallible: the golden unit has no detectors to trip.
-            let outputs = unit
-                .golden()
+            unit.golden()
                 .softmax_with(operands, |x| table.lookup(x))
-                .expect("submit validated the vector");
-            shared.metrics.record_fast_path_ops(n as u64);
-            outputs
+                .expect("submit validated the vector")
         } else {
             match unit.softmax(operands) {
                 Ok(outputs) => outputs,
@@ -462,7 +467,15 @@ fn serve_softmax(
             }
         };
         let service_ns = as_ns(service_start.elapsed());
-        finish_batch(worker, function, 1, n, service_ns, shared);
+        finish_batch(
+            worker,
+            function,
+            1,
+            n,
+            exp_table.is_some(),
+            service_ns,
+            shared,
+        );
         reply(worker, &mut live[index], outputs, n, shared);
     }
     live.clear();
@@ -508,14 +521,16 @@ fn take_live(worker: usize, scratch: &mut Scratch, shared: &PoolShared) -> Optio
     Some(function)
 }
 
-/// Accounts one served batch. Metrics are recorded BEFORE any reply is
-/// sent: a client observing its response must also observe the counters
-/// that account for it.
+/// Accounts one served batch, `table_served` when its operands came from
+/// the response tables. Metrics are recorded BEFORE any reply is sent: a
+/// client observing its response must also observe the counters that
+/// account for it.
 fn finish_batch(
     worker: usize,
     function: Function,
     requests: usize,
     ops: usize,
+    table_served: bool,
     service_ns: u64,
     shared: &PoolShared,
 ) {
@@ -535,9 +550,13 @@ fn finish_batch(
         ops: ops as u32,
         service_ns,
     });
-    shared
-        .metrics
-        .record_batch(function, requests as u64, ops as u64, batch_cycles);
+    shared.metrics.record_batch(
+        function,
+        requests as u64,
+        ops as u64,
+        batch_cycles,
+        table_served,
+    );
 }
 
 /// Completes one served job: its trace record, its end-to-end latency

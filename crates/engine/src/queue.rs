@@ -1,42 +1,27 @@
-//! The bounded submission queue feeding the worker pool — a lock-free
-//! Vyukov-style MPMC ring with parked-thread wakeups.
+//! The bounded submission queue feeding the worker pool: one FIFO of
+//! requests behind a `Mutex`, with a `Condvar` for idle workers.
 //!
-//! The previous implementation was a `Mutex<VecDeque>` + `Condvar`; every
-//! submit, every pop and even every `depth()` read from the metrics
-//! scraper contended on one lock. This rewrite keeps the engine's serving
-//! contract and removes the lock from every hot path:
+//! The contract the engine serves on:
 //!
 //! * **Bounded.** [`BoundedQueue::try_push`] never blocks and never grows
-//!   the queue past its capacity — overload surfaces as an explicit
-//!   [`PushError::Full`] (the engine's `Busy` backpressure), enforced
-//!   *exactly* at capacity by a CAS-reserved occupancy count even though
-//!   the ring itself is sized to the next power of two.
-//! * **Coalescing pop.** [`BoundedQueue::pop_batch`] claims a *run* of
-//!   compatible items. Compatibility is a per-item [`Coalesce::coalesce_key`]
-//!   stored in the slot next to the payload, so a consumer can peek the
-//!   next item's class **before** claiming it — the lock-free equivalent
-//!   of peeking `VecDeque::front` under the old mutex. FIFO order is
-//!   preserved: items are only ever claimed at the head, in submission
-//!   order.
-//! * **Closable.** [`BoundedQueue::close`] stops new pushes, waits out
-//!   the handful of in-flight ones (so "no push lands after `close()`
-//!   returns" still holds — the quarantine path's close-then-drain
-//!   depends on it), and wakes every parked consumer to drain and exit.
-//! * **Lock-free observability.** [`BoundedQueue::depth`] and
-//!   [`BoundedQueue::high_water`] are single relaxed atomic loads; the
-//!   metrics scraper can never block a worker again.
-//!
-//! Blocking consumers park on a `Condvar` **only when the ring is empty**;
-//! producers skip the wakeup entirely unless a consumer has registered
-//! itself as sleeping (a Dekker-style `SeqCst` handshake on `sleepers`
-//! prevents the lost-wakeup race). The ring protocol itself is the one
-//! proven in `nacu_obs::TraceRing`: every slot carries a sequence word
-//! that hands it back and forth between producers and consumers.
+//!   the queue past its capacity. Overload surfaces as an explicit
+//!   [`PushError::Full`] (the engine's `Busy` backpressure), exactly at
+//!   the configured capacity.
+//! * **Coalescing pop, FIFO.** [`BoundedQueue::pop_batch`] takes the head
+//!   item plus the run of items behind it that share its
+//!   [`Coalesce::coalesce_key`], stopping at the first item of another
+//!   class. Items leave in submission order.
+//! * **Closable.** After [`BoundedQueue::close`] returns, no push lands:
+//!   the flag is set under the queue lock, which every push takes. The
+//!   quarantine path's close-then-drain therefore answers every stranded
+//!   client. Consumers drain what is left, then stop.
+//! * **Non-blocking reads.** [`BoundedQueue::depth`] and
+//!   [`BoundedQueue::high_water`] are single relaxed loads of atomics the
+//!   lock holder writes, so a metrics scrape never waits on a worker.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Coalesce-key value that never matches — items carrying it (and batches
 /// opened by them) refuse all fusion, even with their own kind. Softmax
@@ -60,58 +45,28 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-struct Slot<T> {
-    /// Vyukov hand-off word: `pos` = free for the producer claiming
-    /// `pos`, `pos + 1` = holds the item enqueued at `pos`,
-    /// `pos + ring_size` = consumed, free for the next lap's producer.
-    seq: AtomicUsize,
-    /// The occupant's [`Coalesce::coalesce_key`], written before the
-    /// `seq` release store so any consumer that acquires `seq` may read
-    /// it without claiming the slot.
-    key: AtomicU32,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// Sleep-path state: consumers park here when the ring is empty.
-struct Parking {
-    lock: Mutex<()>,
-    not_empty: Condvar,
-    /// Consumers registered as (about to be) sleeping. Producers elide
-    /// the mutex + notify entirely while this is zero — the steady-state
-    /// serving path never touches the lock.
-    sleepers: AtomicUsize,
+/// What the lock guards.
+struct Inner<T> {
+    items: VecDeque<T>,
+    /// Consumers blocked in `pop_batch_into`. A push notifies only while
+    /// one waits, so a busy pool pays no wake-up per request.
+    waiting: usize,
 }
 
 /// A bounded, closable MPMC queue with batch-coalescing pop.
 pub struct BoundedQueue<T> {
-    slots: Box<[Slot<T>]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
-    /// Logical capacity (what `try_push` enforces); ≤ ring size.
+    inner: Mutex<Inner<T>>,
+    not_empty: Condvar,
     capacity: usize,
-    /// Occupancy: reserved by producers before the ring write, released
-    /// by consumers after the slot is fully recycled. Enforces `Full`
-    /// exactly at `capacity` and doubles as the lock-free `depth()`.
-    count: AtomicUsize,
+    /// `items.len()`, written under the lock, read without it.
+    depth: AtomicUsize,
     /// Deepest the queue has ever been — the backpressure observability
     /// signal ([`crate::metrics::MetricsSnapshot::queue_depth_high_water`]).
     high_water: AtomicUsize,
+    /// Written under the lock, so a push that holds it sees the final
+    /// value; read without it by [`BoundedQueue::is_closed`].
     closed: AtomicBool,
-    /// Producers currently between their closed-check and their ring
-    /// write. [`BoundedQueue::close`] waits for this to reach zero so the
-    /// close-then-drain sequence observes every push that was admitted.
-    in_flight: AtomicUsize,
-    parking: Parking,
 }
-
-// SAFETY: slot contents are only touched by the thread that owns the slot
-// per the Vyukov sequence protocol — a producer writes only after winning
-// the CAS on `enqueue_pos` while `seq == pos`, a consumer reads only after
-// winning the CAS on `dequeue_pos` while `seq == pos + 1`, and the
-// release/acquire pairs on `seq` order the data accesses.
-unsafe impl<T: Send> Send for BoundedQueue<T> {}
-unsafe impl<T: Send> Sync for BoundedQueue<T> {}
 
 impl<T> std::fmt::Debug for BoundedQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -119,7 +74,7 @@ impl<T> std::fmt::Debug for BoundedQueue<T> {
             .field("capacity", &self.capacity)
             .field("depth", &self.depth())
             .field("high_water", &self.high_water())
-            .field("closed", &self.closed.load(Ordering::Relaxed))
+            .field("closed", &self.is_closed())
             .finish_non_exhaustive()
     }
 }
@@ -128,30 +83,16 @@ impl<T> BoundedQueue<T> {
     /// Creates a queue admitting at most `capacity` items (min 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let ring = capacity.next_power_of_two();
-        let slots: Vec<Slot<T>> = (0..ring)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                key: AtomicU32::new(0),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
         Self {
-            slots: slots.into_boxed_slice(),
-            mask: ring - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
-            capacity,
-            count: AtomicUsize::new(0),
+            inner: Mutex::new(Inner {
+                items: VecDeque::new(),
+                waiting: 0,
+            }),
+            not_empty: Condvar::new(),
+            capacity: capacity.max(1),
+            depth: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            parking: Parking {
-                lock: Mutex::new(()),
-                not_empty: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
-            },
         }
     }
 
@@ -165,7 +106,7 @@ impl<T> BoundedQueue<T> {
     /// metrics path without blocking a worker (racy by nature).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.depth.load(Ordering::Relaxed)
     }
 
     /// Deepest the queue has ever been — also a single relaxed load.
@@ -177,24 +118,25 @@ impl<T> BoundedQueue<T> {
     /// Whether [`BoundedQueue::close`] has been called.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+        self.closed.load(Ordering::Relaxed)
+    }
+
+    /// The queue state. No code panics while holding the lock with the
+    /// queue half-updated, so a poisoned lock still guards a valid queue.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Closes the queue: future pushes fail, consumers drain then stop.
     ///
-    /// Waits out pushes already past their closed-check, so when this
-    /// returns, the set of items the queue will ever hold is final — the
-    /// quarantine path's close-then-drain answers *every* stranded client.
+    /// When this returns, the set of items the queue will ever hold is
+    /// final — the quarantine path's close-then-drain answers *every*
+    /// stranded client.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        while self.in_flight.load(Ordering::Acquire) > 0 {
-            std::hint::spin_loop();
-        }
-        // Take the parking lock before notifying: a consumer between its
-        // sleeper registration and its `wait` holds the lock, so this
-        // notify cannot slip into that window and get lost.
-        drop(self.parking.lock.lock().expect("parking lock"));
-        self.parking.not_empty.notify_all();
+        let inner = self.lock();
+        self.closed.store(true, Ordering::Relaxed);
+        drop(inner);
+        self.not_empty.notify_all();
     }
 
     /// Non-blocking push; returns the post-push depth on success.
@@ -203,130 +145,24 @@ impl<T> BoundedQueue<T> {
     ///
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`BoundedQueue::close`]. Both return the item to the caller.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>>
-    where
-        T: Coalesce,
-    {
-        // Register as in-flight BEFORE the closed-check: `close()` spins
-        // on this counter, so a push that passes the check is guaranteed
-        // to land (or bail) before `close()` returns.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.closed.load(Ordering::SeqCst) {
-            self.in_flight.fetch_sub(1, Ordering::Release);
+    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+        let mut inner = self.lock();
+        if self.is_closed() {
             return Err(PushError::Closed(item));
         }
-        // Reserve occupancy: `Full` exactly at the configured capacity,
-        // independent of the power-of-two ring size.
-        let mut count = self.count.load(Ordering::Relaxed);
-        loop {
-            if count >= self.capacity {
-                self.in_flight.fetch_sub(1, Ordering::Release);
-                return Err(PushError::Full(item));
-            }
-            match self.count.compare_exchange_weak(
-                count,
-                count + 1,
-                Ordering::SeqCst,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => count = actual,
-            }
+        if inner.items.len() >= self.capacity {
+            return Err(PushError::Full(item));
         }
-        let depth = count + 1;
-        self.enqueue(item);
+        inner.items.push_back(item);
+        let depth = inner.items.len();
+        self.depth.store(depth, Ordering::Relaxed);
         self.high_water.fetch_max(depth, Ordering::Relaxed);
-        self.in_flight.fetch_sub(1, Ordering::Release);
-        self.wake_consumer();
+        let wake = inner.waiting > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(depth)
-    }
-
-    /// Ring enqueue of an item whose occupancy is already reserved. The
-    /// reservation guarantees a free slot *logically*; the claimed slot
-    /// may still be mid-recycle by a consumer that won its dequeue CAS
-    /// but has not stored `seq` yet, so the not-ready case spins (the
-    /// consumer is a few instructions from finishing) instead of failing.
-    fn enqueue(&self, item: T)
-    where
-        T: Coalesce,
-    {
-        let key = item.coalesce_key();
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS at `seq == pos` grants
-                        // this thread exclusive write access to the slot.
-                        unsafe { (*slot.value.get()).write(item) };
-                        slot.key.store(key, Ordering::Relaxed);
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                // Reserved but the slot's previous occupant is still
-                // being recycled — imminent, spin.
-                std::hint::spin_loop();
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Claims the head item if one is ready and (when `want` is given)
-    /// its key matches. Returns `None` when the ring is empty, the head
-    /// is mid-write, or the head's class is incompatible.
-    fn try_pop_where(&self, want: Option<u32>) -> Option<T> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - (pos + 1) as isize;
-            if diff == 0 {
-                if let Some(k) = want {
-                    // The acquire on `seq` ordered the producer's key
-                    // store; a relaxed read sees the occupant's key. The
-                    // subsequent dequeue CAS only succeeds if the head is
-                    // still this occupant, so the peek cannot go stale.
-                    let key = slot.key.load(Ordering::Relaxed);
-                    if key != k || key == NEVER_COALESCE {
-                        return None;
-                    }
-                }
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS at `seq == pos + 1`
-                        // grants exclusive read access; the producer's
-                        // release store on `seq` ordered its write.
-                        let item = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                        self.count.fetch_sub(1, Ordering::SeqCst);
-                        return Some(item);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
     }
 
     /// Blocks until at least one item is available (or the queue closes),
@@ -353,82 +189,33 @@ impl<T> BoundedQueue<T> {
     {
         batch.clear();
         let max_items = max_items.max(1);
+        let mut inner = self.lock();
         loop {
-            if let Some(first) = self.try_pop_where(None) {
+            if let Some(first) = inner.items.pop_front() {
                 let key = first.coalesce_key();
                 batch.push(first);
                 if key != NEVER_COALESCE {
-                    while batch.len() < max_items {
-                        match self.try_pop_where(Some(key)) {
-                            Some(item) => batch.push(item),
-                            None => break,
-                        }
+                    while batch.len() < max_items
+                        && inner
+                            .items
+                            .front()
+                            .is_some_and(|next| next.coalesce_key() == key)
+                    {
+                        batch.extend(inner.items.pop_front());
                     }
                 }
+                self.depth.store(inner.items.len(), Ordering::Relaxed);
                 return true;
             }
-            if self.closed.load(Ordering::SeqCst) {
-                // Closed: wait out in-flight pushes (each either lands or
-                // bails), then one final claim settles drained-vs-racing.
-                while self.in_flight.load(Ordering::Acquire) > 0 {
-                    std::hint::spin_loop();
-                }
-                match self.try_pop_where(None) {
-                    Some(first) => {
-                        batch.push(first);
-                        return true;
-                    }
-                    None => {
-                        if self.count.load(Ordering::SeqCst) == 0 {
-                            return false;
-                        }
-                        // Items exist but another consumer holds the head
-                        // mid-claim; yield and retry.
-                        std::thread::yield_now();
-                        continue;
-                    }
-                }
+            if self.is_closed() {
+                return false;
             }
-            if self.count.load(Ordering::SeqCst) > 0 {
-                // An item is reserved but its producer has not finished
-                // the ring write (or a peer consumer is mid-claim) —
-                // imminent either way, don't pay the parking lock.
-                std::hint::spin_loop();
-                continue;
-            }
-            self.park();
-        }
-    }
-
-    /// Parks the calling consumer until a producer (or `close()`) wakes
-    /// it. Spurious returns are fine — the pop loop re-checks everything.
-    fn park(&self) {
-        let guard = self.parking.lock.lock().expect("parking lock");
-        self.parking.sleepers.fetch_add(1, Ordering::SeqCst);
-        // Dekker handshake, consumer side: the `SeqCst` sleeper increment
-        // above and this `SeqCst` re-check order against the producer's
-        // `SeqCst` count-increment + sleeper-load, so at least one side
-        // always sees the other — no lost wakeup.
-        if self.count.load(Ordering::SeqCst) > 0 || self.closed.load(Ordering::SeqCst) {
-            self.parking.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        let _guard = self
-            .parking
-            .not_empty
-            .wait(guard)
-            .expect("parking lock poisoned");
-        self.parking.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Producer-side wakeup after a successful push: free while nobody
-    /// sleeps, one mutex + notify when a consumer is parked.
-    fn wake_consumer(&self) {
-        // Dekker handshake, producer side (see `park`).
-        fence(Ordering::SeqCst);
-        if self.parking.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.parking.lock.lock().expect("parking lock"));
-            self.parking.not_empty.notify_one();
+            inner.waiting += 1;
+            inner = self
+                .not_empty
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+            inner.waiting -= 1;
         }
     }
 
@@ -438,42 +225,9 @@ impl<T> BoundedQueue<T> {
     /// tickets hanging.
     #[must_use]
     pub fn drain(&self) -> Vec<T> {
-        let mut items = Vec::new();
-        loop {
-            match self.try_pop_where(None) {
-                Some(item) => items.push(item),
-                None => {
-                    // Distinguish "empty" from "head mid-write by an
-                    // in-flight producer": only return once both the
-                    // occupancy and the in-flight counts agree we got
-                    // everything that will ever be here.
-                    if self.count.load(Ordering::SeqCst) == 0
-                        && self.in_flight.load(Ordering::Acquire) == 0
-                    {
-                        return items;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
-
-impl<T> Drop for BoundedQueue<T> {
-    fn drop(&mut self) {
-        // Drop undrained occupants: slots whose `seq` marks them as
-        // holding an item enqueued at their position.
-        let mut pos = *self.dequeue_pos.get_mut();
-        let end = *self.enqueue_pos.get_mut();
-        while pos < end {
-            let slot = &mut self.slots[pos & self.mask];
-            if *slot.seq.get_mut() == pos + 1 {
-                // SAFETY: `&mut self` means no concurrent access; the
-                // sequence word says the slot holds an initialised item.
-                unsafe { (*slot.value.get()).assume_init_drop() };
-            }
-            pos += 1;
-        }
+        let mut inner = self.lock();
+        self.depth.store(0, Ordering::Relaxed);
+        inner.items.drain(..).collect()
     }
 }
 
