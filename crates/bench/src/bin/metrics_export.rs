@@ -4,10 +4,11 @@
 //!     metrics_export [--smoke] [--json PATH] [--prom PATH]
 //!
 //! Prints the Prometheus exposition to stdout and, with `--json` /
-//! `--prom`, writes the stable-schema JSON snapshot and the exposition to
+//! `--prom`, writes the `nacu-obs/v2` JSON snapshot and the exposition to
 //! files. CI archives both as the `metrics-snapshot` artifact so every
 //! run leaves an inspectable record of latency distributions, trace
-//! totals, and modeled-vs-measured cycle accounting.
+//! totals, and modeled-vs-measured cycle accounting. Exits non-zero if
+//! either output lacks one of the engine's exported counters.
 
 use std::process::ExitCode;
 
@@ -87,7 +88,9 @@ fn main() -> ExitCode {
     // artifact and `/metrics` can never drift apart.
     let named = engine.metrics().exporter_counters();
     let prom = export::prometheus(&snap, PAPER_CLOCK_HZ, &named);
-    let json = export::json(&snap, PAPER_CLOCK_HZ, &named);
+    // No telemetry plane here: the windows, exemplars and slo sections
+    // render empty, as on a live `/metrics.json` without telemetry.
+    let json = export::json_v2(&snap, PAPER_CLOCK_HZ, &named, &[], &[], &[]);
     engine.shutdown();
 
     print!("{prom}");
@@ -104,6 +107,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("wrote {path}");
+    }
+    // Checked after writing, so a failing run still leaves its artifact.
+    let missing: Vec<&str> = named
+        .iter()
+        .map(|&(name, _)| name)
+        .filter(|name| {
+            !prom.contains(&format!("\n{name} ")) || !json.contains(&format!("\"{name}\":"))
+        })
+        .collect();
+    if !missing.is_empty() {
+        eprintln!("exports lack engine counters: {}", missing.join(", "));
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

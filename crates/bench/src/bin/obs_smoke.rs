@@ -177,9 +177,9 @@ fn healthy_scrape(args: &Args) -> Result<(), String> {
         }
     }
     let (status, json) = get(addr, "/metrics.json")?;
-    if status != "HTTP/1.1 200 OK" || !json.contains("\"schema\": \"nacu-obs/v1\"") {
+    if status != "HTTP/1.1 200 OK" || !json.contains("\"schema\": \"nacu-obs/v2\"") {
         return Err(format!(
-            "/metrics.json answered {status} without the v1 schema"
+            "/metrics.json answered {status} without the v2 schema"
         ));
     }
     let (status, health) = get(addr, "/health")?;

@@ -20,7 +20,7 @@ use std::thread;
 
 use nacu::{Function, Nacu, NacuConfig};
 use nacu_engine::{
-    DetectorSet, Engine, EngineConfig, EngineHandle, Fault, FaultPlan, FaultTolerance,
+    Counter, DetectorSet, Engine, EngineConfig, EngineHandle, Fault, FaultPlan, FaultTolerance,
     InjectionSite, Request, SubmitError, TraceLog, TraceRecord,
 };
 use nacu_faults::CheckedNacu;
@@ -356,9 +356,9 @@ fn replay_driver(
     result?;
 
     let metrics = handle.live_metrics();
-    metrics.record_replay_requests(outcome.records as u64);
+    metrics.add(Counter::ReplayRequestsReplayed, outcome.records as u64);
     if outcome.divergence.is_some() {
-        metrics.record_replay_divergence();
+        metrics.add(Counter::ReplayDivergences, 1);
     }
     Ok(outcome)
 }

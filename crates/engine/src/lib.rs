@@ -76,7 +76,7 @@ use nacu_obs::Obs;
 
 pub use batch::{Request, RequestError, Response};
 pub use executor::{BatchExecutor, ExecutorKind, ExecutorSelect};
-pub use metrics::{EngineMetrics, MetricsSnapshot};
+pub use metrics::{Counter, EngineMetrics, MetricsSnapshot};
 pub use report::{LatencySummary, ThroughputReport, WindowLine, PAPER_CLOCK_HZ};
 pub use wake::{Completer, TicketFuture};
 // Re-exported so engine clients can build fault policies without naming
@@ -568,7 +568,10 @@ impl EngineHandle {
                     request.operands.iter().map(|x| x.raw() as i16),
                 );
                 if slot == NO_RECORD_SLOT {
-                    self.shared.pool.metrics.record_replay_record_dropped();
+                    self.shared
+                        .pool
+                        .metrics
+                        .add(Counter::ReplayRecordsDropped, 1);
                 }
                 slot
             }
@@ -585,7 +588,7 @@ impl EngineHandle {
         };
         let pool = &self.shared.pool;
         let accepted = || {
-            pool.metrics.record_submitted();
+            pool.metrics.add(Counter::RequestsSubmitted, 1);
             pool.obs.record_trace(TraceKind::Submit {
                 req,
                 conn,
@@ -611,13 +614,13 @@ impl EngineHandle {
         }
         match pool.queue.try_push(job) {
             Ok(depth) => {
-                pool.metrics.record_queue_depth(depth);
+                pool.metrics.max(Counter::QueueDepthHighWater, depth as u64);
                 accepted();
                 Ok(ticket)
             }
             Err(PushError::Full(job)) => {
                 self.abandon_record(job.record);
-                pool.metrics.record_busy_rejection();
+                pool.metrics.add(Counter::BusyRejections, 1);
                 Err(SubmitError::Busy {
                     capacity: pool.queue.capacity(),
                 })
@@ -1025,10 +1028,10 @@ fn spawn_sampler(
             }
             let counters = metrics.snapshot().exporter_counters();
             let statuses = telemetry.sample(obs.snapshot(), counters);
-            metrics.record_telemetry_sample();
+            metrics.add(Counter::TelemetrySamples, 1);
             for status in &statuses {
                 if status.tripped_now {
-                    metrics.record_slo_trip();
+                    metrics.add(Counter::SloAlarmTrips, 1);
                     obs.record_trace(TraceKind::SloBurn {
                         slo: status.name,
                         active: true,

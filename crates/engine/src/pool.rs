@@ -39,7 +39,7 @@ use nacu_replay::Recorder;
 
 use crate::batch::{scalar_function, Request, RequestError, Response};
 use crate::executor::{BatchExecutor, DatapathWalk};
-use crate::metrics::EngineMetrics;
+use crate::metrics::{Counter, EngineMetrics};
 use crate::queue::{BoundedQueue, Coalesce, PushError};
 use crate::report::{modeled_batch_cycles, modeled_checked_batch_cycles};
 use crate::FaultTolerance;
@@ -113,7 +113,7 @@ pub(crate) struct PoolShared {
 fn record_reply(shared: &PoolShared, slot: u32, outputs: &[nacu_fixed::Fx]) {
     if let Some(recorder) = &shared.recorder {
         if recorder.complete(slot, outputs.iter().map(|y| y.raw() as i16)) {
-            shared.metrics.record_replay_record_captured();
+            shared.metrics.add(Counter::ReplayRecordsCaptured, 1);
         }
     }
 }
@@ -189,8 +189,8 @@ fn run_worker(worker: usize, shared: &PoolShared) {
 /// Takes this worker out of service and re-routes its in-flight jobs.
 fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolShared) {
     shared.health[worker].store(false, Ordering::Release);
-    shared.metrics.record_fault_detected();
-    shared.metrics.record_worker_quarantined();
+    shared.metrics.add(Counter::FaultsDetected, 1);
+    shared.metrics.add(Counter::WorkersQuarantined, 1);
     shared
         .obs
         .record_trace(TraceKind::fault(worker as u32, &event));
@@ -207,18 +207,18 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
     for mut job in jobs {
         if !any_healthy {
             abandon_record(shared, job.record);
-            shared.metrics.record_request_failed();
+            shared.metrics.add(Counter::RequestsFailed, 1);
             job.reply.complete(Err(RequestError::NoHealthyWorkers));
         } else if job.retries >= shared.fault.max_retries {
             abandon_record(shared, job.record);
-            shared.metrics.record_request_failed();
+            shared.metrics.add(Counter::RequestsFailed, 1);
             job.reply.complete(Err(RequestError::FaultDetected {
                 event,
                 attempts: job.retries + 1,
             }));
         } else {
             job.retries += 1;
-            shared.metrics.record_retry();
+            shared.metrics.add(Counter::Retries, 1);
             shared.obs.record_trace(TraceKind::Retry {
                 req: job.id,
                 worker: worker as u32,
@@ -228,7 +228,7 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
                 shared.queue.try_push(job)
             {
                 abandon_record(shared, job.record);
-                shared.metrics.record_request_failed();
+                shared.metrics.add(Counter::RequestsFailed, 1);
                 job.reply.complete(Err(RequestError::FaultDetected {
                     event,
                     attempts: job.retries,
@@ -240,7 +240,7 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
         // Last one out answers whatever was stranded behind the door.
         for mut job in shared.queue.drain() {
             abandon_record(shared, job.record);
-            shared.metrics.record_request_failed();
+            shared.metrics.add(Counter::RequestsFailed, 1);
             job.reply.complete(Err(RequestError::NoHealthyWorkers));
         }
     }
@@ -389,7 +389,7 @@ fn serve_unary(
             Some(per_job) => per_job[job_index][operand],
         };
         if let Some(alarm) = health.observe(function, x, y.to_f64()) {
-            metrics.record_drift_alarm();
+            metrics.add(Counter::DriftAlarms, 1);
             obs.record_trace(TraceKind::DriftAlarm {
                 worker: worker as u32,
                 function,
@@ -494,7 +494,7 @@ fn take_live(worker: usize, scratch: &mut Scratch, shared: &PoolShared) -> Optio
     for mut job in scratch.jobs.drain(..) {
         if job.request.deadline.is_some_and(|d| d < now) {
             abandon_record(shared, job.record);
-            shared.metrics.record_expired();
+            shared.metrics.add(Counter::RequestsExpired, 1);
             obs.record_trace(TraceKind::Expired {
                 req: job.id,
                 function: job.request.function,

@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use nacu_engine::report::{modeled_batch_cycles, PAPER_CLOCK_HZ};
 use nacu_engine::{
-    EngineHandle, EngineMetrics, Response, SubmitError, Ticket, TicketFuture, WaitError,
+    Counter, EngineHandle, EngineMetrics, Response, SubmitError, Ticket, TicketFuture, WaitError,
 };
 
 use crate::proto::{
@@ -222,7 +222,7 @@ impl Conn {
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        metrics.record_net_frame_out();
+        metrics.add(Counter::NetFramesOut, 1);
         let failed = {
             let mut stream = self.stream.lock().expect("stream lock");
             stream
@@ -299,7 +299,7 @@ impl ReplyWaker {
                 this.send(outcome);
             }
             Poll::Pending => {
-                metrics.record_async_waker_registered();
+                metrics.add(Counter::AsyncWakersRegistered, 1);
                 *parked = Some(future);
             }
         }
@@ -378,11 +378,11 @@ fn accept_loop(listener: &TcpListener, plane: &Arc<Plane>) {
         }
         let Ok(stream) = stream else { continue };
         if live.load(Ordering::Acquire) >= plane.config.max_connections {
-            plane.metrics.record_net_connection_rejected();
+            plane.metrics.add(Counter::NetConnectionsRejected, 1);
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
-        plane.metrics.record_net_connection_accepted();
+        plane.metrics.add(Counter::NetConnectionsAccepted, 1);
         live.fetch_add(1, Ordering::AcqRel);
         let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
         let plane = Arc::clone(plane);
@@ -426,7 +426,7 @@ fn read_loop(stream: TcpStream, conn_id: u32, plane: &Plane, conn: &Arc<Conn>) {
             Ok(Some(payload)) => payload,
             Ok(None) => return, // clean EOF
             Err(ReadError::Oversize { .. }) => {
-                metrics.record_net_protocol_error();
+                metrics.add(Counter::NetProtocolErrors, 1);
                 conn.write_reply(
                     &ReplyFrame::control(Status::Error, code::PROTOCOL, 0),
                     metrics,
@@ -435,14 +435,14 @@ fn read_loop(stream: TcpStream, conn_id: u32, plane: &Plane, conn: &Arc<Conn>) {
             }
             Err(ReadError::TruncatedFrame { .. } | ReadError::Io(_)) => {
                 // The stream died mid-frame: nothing to answer to.
-                metrics.record_net_protocol_error();
+                metrics.add(Counter::NetProtocolErrors, 1);
                 return;
             }
         };
         let frame = match decode_request(&payload, plane.config.max_frame_ops) {
             Ok(frame) => frame,
             Err(_) => {
-                metrics.record_net_protocol_error();
+                metrics.add(Counter::NetProtocolErrors, 1);
                 conn.write_reply(
                     &ReplyFrame::control(Status::Error, code::PROTOCOL, 0),
                     metrics,
@@ -450,7 +450,7 @@ fn read_loop(stream: TcpStream, conn_id: u32, plane: &Plane, conn: &Arc<Conn>) {
                 return; // cannot resync a corrupt stream
             }
         };
-        metrics.record_net_frame_in();
+        metrics.add(Counter::NetFramesIn, 1);
         match admit(frame, conn_id, plane, peer_ip) {
             Admission::Immediate(frame) => conn.write_reply(&frame, metrics),
             Admission::Submitted { client_id, ticket } => match ticket.try_wait() {
@@ -492,7 +492,7 @@ fn admit(frame: RequestFrame, conn_id: u32, plane: &Plane, peer_ip: Option<IpAdd
     // Quota before any per-operand work: refusals must stay cheap.
     if let (Some(buckets), Some(ip)) = (plane.buckets.as_ref(), peer_ip) {
         if !buckets.admit(ip) {
-            metrics.record_net_quota_limited();
+            metrics.add(Counter::NetQuotaLimited, 1);
             return Admission::Immediate(ReplyFrame::control(Status::Quota, code::NONE, client_id));
         }
     }
@@ -505,14 +505,14 @@ fn admit(frame: RequestFrame, conn_id: u32, plane: &Plane, peer_ip: Option<IpAdd
         let floor_secs =
             modeled_batch_cycles(frame.function, frame.codes.len()) as f64 / PAPER_CLOCK_HZ;
         if budget.as_secs_f64() < floor_secs {
-            metrics.record_net_request_shed();
+            metrics.add(Counter::NetRequestsShed, 1);
             return Admission::Immediate(ReplyFrame::control(Status::Shed, code::NONE, client_id));
         }
     }
     let operands = match frame.operands() {
         Ok(operands) => operands,
         Err(_) => {
-            metrics.record_net_protocol_error();
+            metrics.add(Counter::NetProtocolErrors, 1);
             return Admission::Immediate(ReplyFrame::control(
                 Status::Error,
                 code::PROTOCOL,
@@ -556,7 +556,7 @@ fn completion_reply(
             codes: response.outputs.iter().map(|fx| fx.raw() as i16).collect(),
         },
         Err(WaitError::DeadlineExpired) => {
-            metrics.record_net_request_shed();
+            metrics.add(Counter::NetRequestsShed, 1);
             ReplyFrame::control(Status::Shed, code::NONE, client_id)
         }
         Err(WaitError::EngineShutDown) => {

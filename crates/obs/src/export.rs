@@ -5,7 +5,7 @@
 //! string. The output shapes are **pinned by snapshot tests** — CI
 //! consumers (dashboards, the `metrics-snapshot` artifact, the bench
 //! gates) parse them, so any change here must be deliberate and
-//! versioned: bump [`JSON_SCHEMA`] when the JSON layout changes.
+//! versioned: bump [`JSON_SCHEMA_V2`] when the JSON layout changes.
 //!
 //! Histogram exposition follows the Prometheus histogram convention —
 //! cumulative `_bucket{le="…"}` series plus `_sum` and `_count` — with
@@ -23,15 +23,9 @@ use crate::slo::SloStatus;
 use crate::window::WindowDelta;
 use crate::{ObsSnapshot, Stage, ACCOUNTED_FUNCTIONS};
 
-/// Version tag of the JSON layout produced by [`json`]. The `health`
-/// section was added additively (new key, existing keys untouched), so
-/// the tag stays at v1.
-pub const JSON_SCHEMA: &str = "nacu-obs/v1";
-
-/// Version tag of the JSON layout produced by [`json_v2`]: v1 plus
-/// `windows`, `exemplars`, and `slo` sections (inserted before
-/// `counters`). v1 consumers that ignore unknown keys parse v2
-/// unchanged; the tag still bumps because the document shape grew.
+/// Version tag of the JSON layout produced by [`json_v2`]: `histograms`,
+/// `cycles`, `trace`, `health`, `windows`, `exemplars`, `slo` and
+/// `counters`, in that order. Bump it when the layout changes.
 pub const JSON_SCHEMA_V2: &str = "nacu-obs/v2";
 
 /// Renders `f64` for both exporters: finite shortest round-trip, with
@@ -107,8 +101,9 @@ fn prometheus_counter_family(
 /// `clock_hz` is the reference clock the cycle-accounting gauges convert
 /// measured time with (the paper's 3.75 ns clock for a hardware
 /// comparison, or a host clock for profiling). `counters` are extra flat
-/// counters appended verbatim as `counter` metrics — the engine passes
-/// its `EngineMetrics` snapshot through here.
+/// series appended verbatim — the engine passes its `EngineMetrics`
+/// snapshot through here. By the Prometheus naming rule a `_total` name
+/// is typed `counter` and any other (a high-water mark) `gauge`.
 #[must_use]
 pub fn prometheus(snap: &ObsSnapshot, clock_hz: f64, counters: &[(&str, u64)]) -> String {
     let mut out = String::new();
@@ -195,7 +190,12 @@ pub fn prometheus(snap: &ObsSnapshot, clock_hz: f64, counters: &[(&str, u64)]) -
     prometheus_health(&mut out, &snap.health);
 
     for (name, value) in counters {
-        out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
+        let kind = if name.ends_with("_total") {
+            "counter"
+        } else {
+            "gauge"
+        };
+        out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
     }
     out
 }
@@ -414,32 +414,29 @@ fn json_histogram(h: &HistogramSnapshot) -> String {
     )
 }
 
-/// Renders the snapshot as a stable JSON document ([`JSON_SCHEMA`]).
+/// Renders the snapshot, the flat `counters` and the telemetry sections
+/// as one stable JSON document ([`JSON_SCHEMA_V2`]). Without a telemetry
+/// plane, pass empty `windows`, `exemplars` and `slo`: the sections are
+/// then rendered empty, so every consumer reads the same layout.
 ///
 /// Layout (all latency values nanoseconds; bucket entries are
 /// `[upper_bound, count]` pairs over the non-empty buckets):
 ///
 /// ```json
 /// {
-///   "schema": "nacu-obs/v1",
+///   "schema": "nacu-obs/v2",
 ///   "clock_hz": 266666666.66,
 ///   "histograms": {"queue_wait_ns": {"sigmoid": {...}, ...}, ...},
 ///   "cycles": {"sigmoid": {"batches": 0, ...}, ...},
 ///   "trace": {"capacity": 4096, "recorded": 0, "dropped": 0},
 ///   "health": {"sample_interval": 256, "alarm_latched": false,
 ///              "functions": {"sigmoid": {"samples": 0, ...}, ...}},
-///   "counters": {"requests_submitted": 0, ...}
+///   "windows": {"10s": {"span_ns": ..., "stages": {...}, ...}, ...},
+///   "exemplars": [{"stage": "end_to_end_ns", "req": 42, ...}],
+///   "slo": {"burning": false, "alarms": [...]},
+///   "counters": {"nacu_engine_requests_submitted_total": 0, ...}
 /// }
 /// ```
-#[must_use]
-pub fn json(snap: &ObsSnapshot, clock_hz: f64, counters: &[(&str, u64)]) -> String {
-    json_document(snap, clock_hz, counters, JSON_SCHEMA, "")
-}
-
-/// The v1 document with the telemetry sections spliced in
-/// ([`JSON_SCHEMA_V2`]): rolling-window aggregates, tail exemplars, and
-/// SLO alarm statuses. Every v1 key is rendered byte-identically; the
-/// new sections sit between `health` and `counters`.
 #[must_use]
 pub fn json_v2(
     snap: &ObsSnapshot,
@@ -449,115 +446,9 @@ pub fn json_v2(
     exemplars: &[Exemplar],
     slo: &[SloStatus],
 ) -> String {
-    let mut extra = String::new();
-
-    extra.push_str("  \"windows\": {\n");
-    let window_entries: Vec<String> = windows
-        .iter()
-        .map(|(label, w)| {
-            let stages: Vec<String> = Stage::ALL
-                .iter()
-                .map(|&stage| {
-                    let h = w.stage_merged(stage);
-                    format!(
-                        "\"{}\": {{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                        stage.name(),
-                        h.count,
-                        h.sum,
-                        h.p50(),
-                        h.p90(),
-                        h.p99()
-                    )
-                })
-                .collect();
-            let ops: Vec<String> = ACCOUNTED_FUNCTIONS
-                .iter()
-                .enumerate()
-                .map(|(i, f)| format!("\"{f}\":{}", w.ops[i]))
-                .collect();
-            format!(
-                "    \"{label}\": {{\"span_ns\":{},\"samples\":{},\"stages\":{{{}}},\"ops\":{{{}}},\"ops_per_sec\":{}}}",
-                w.span_ns,
-                w.samples,
-                stages.join(","),
-                ops.join(","),
-                fmt_f64(w.per_second(w.total_ops()))
-            )
-        })
-        .collect();
-    extra.push_str(&window_entries.join(",\n"));
-    extra.push_str("\n  },\n");
-
-    let exemplar_entries: Vec<String> = exemplars
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"stage\":\"{}\",\"function\":\"{}\",\"value_ns\":{},\"req\":{},\"conn\":{},\"at_ns\":{}}}",
-                e.stage.name(),
-                e.function,
-                e.value_ns,
-                e.req,
-                e.conn,
-                e.at_ns
-            )
-        })
-        .collect();
-    if exemplar_entries.is_empty() {
-        extra.push_str("  \"exemplars\": [],\n");
-    } else {
-        extra.push_str(&format!(
-            "  \"exemplars\": [\n{}\n  ],\n",
-            exemplar_entries.join(",\n")
-        ));
-    }
-
-    let burning = slo.iter().any(|s| s.active);
-    let alarm_entries: Vec<String> = slo
-        .iter()
-        .map(|s| {
-            let budget = s
-                .budget_ns
-                .map_or_else(|| "null".to_string(), |b| b.to_string());
-            format!(
-                "    {{\"name\":\"{}\",\"active\":{},\"trips\":{},\"fast_burn\":{},\"slow_burn\":{},\"budget_ns\":{},\"threshold\":{}}}",
-                s.name,
-                s.active,
-                s.trips,
-                fmt_f64(s.fast_burn),
-                fmt_f64(s.slow_burn),
-                budget,
-                fmt_f64(s.threshold)
-            )
-        })
-        .collect();
-    if alarm_entries.is_empty() {
-        extra.push_str(&format!(
-            "  \"slo\": {{\"burning\":{burning},\"alarms\":[]}},\n"
-        ));
-    } else {
-        extra.push_str(&format!(
-            "  \"slo\": {{\"burning\":{burning},\"alarms\":[\n{}\n  ]}},\n",
-            alarm_entries.join(",\n")
-        ));
-    }
-
-    json_document(snap, clock_hz, counters, JSON_SCHEMA_V2, &extra)
-}
-
-/// Renders one JSON document; `extra_sections` (already `",\n"`
-/// terminated, or empty) is spliced verbatim between the `health` and
-/// `counters` sections. [`json`] passes the empty string, which keeps
-/// the v1 bytes untouched by construction.
-fn json_document(
-    snap: &ObsSnapshot,
-    clock_hz: f64,
-    counters: &[(&str, u64)],
-    schema: &str,
-    extra_sections: &str,
-) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"clock_hz\": {},\n",
+        "{{\n  \"schema\": \"{JSON_SCHEMA_V2}\",\n  \"clock_hz\": {},\n",
         fmt_f64(clock_hz)
     ));
 
@@ -636,7 +527,95 @@ fn json_document(
     out.push_str(&health_entries.join(",\n"));
     out.push_str("\n  }},\n");
 
-    out.push_str(extra_sections);
+    out.push_str("  \"windows\": {\n");
+    let window_entries: Vec<String> = windows
+        .iter()
+        .map(|(label, w)| {
+            let stages: Vec<String> = Stage::ALL
+                .iter()
+                .map(|&stage| {
+                    let h = w.stage_merged(stage);
+                    format!(
+                        "\"{}\": {{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
+                        stage.name(),
+                        h.count,
+                        h.sum,
+                        h.p50(),
+                        h.p90(),
+                        h.p99()
+                    )
+                })
+                .collect();
+            let ops: Vec<String> = ACCOUNTED_FUNCTIONS
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("\"{f}\":{}", w.ops[i]))
+                .collect();
+            format!(
+                "    \"{label}\": {{\"span_ns\":{},\"samples\":{},\"stages\":{{{}}},\"ops\":{{{}}},\"ops_per_sec\":{}}}",
+                w.span_ns,
+                w.samples,
+                stages.join(","),
+                ops.join(","),
+                fmt_f64(w.per_second(w.total_ops()))
+            )
+        })
+        .collect();
+    out.push_str(&window_entries.join(",\n"));
+    out.push_str("\n  },\n");
+
+    let exemplar_entries: Vec<String> = exemplars
+        .iter()
+        .map(|e| {
+            format!(
+                "    {{\"stage\":\"{}\",\"function\":\"{}\",\"value_ns\":{},\"req\":{},\"conn\":{},\"at_ns\":{}}}",
+                e.stage.name(),
+                e.function,
+                e.value_ns,
+                e.req,
+                e.conn,
+                e.at_ns
+            )
+        })
+        .collect();
+    if exemplar_entries.is_empty() {
+        out.push_str("  \"exemplars\": [],\n");
+    } else {
+        out.push_str(&format!(
+            "  \"exemplars\": [\n{}\n  ],\n",
+            exemplar_entries.join(",\n")
+        ));
+    }
+
+    let burning = slo.iter().any(|s| s.active);
+    let alarm_entries: Vec<String> = slo
+        .iter()
+        .map(|s| {
+            let budget = s
+                .budget_ns
+                .map_or_else(|| "null".to_string(), |b| b.to_string());
+            format!(
+                "    {{\"name\":\"{}\",\"active\":{},\"trips\":{},\"fast_burn\":{},\"slow_burn\":{},\"budget_ns\":{},\"threshold\":{}}}",
+                s.name,
+                s.active,
+                s.trips,
+                fmt_f64(s.fast_burn),
+                fmt_f64(s.slow_burn),
+                budget,
+                fmt_f64(s.threshold)
+            )
+        })
+        .collect();
+    if alarm_entries.is_empty() {
+        out.push_str(&format!(
+            "  \"slo\": {{\"burning\":{burning},\"alarms\":[]}},\n"
+        ));
+    } else {
+        out.push_str(&format!(
+            "  \"slo\": {{\"burning\":{burning},\"alarms\":[\n{}\n  ]}},\n",
+            alarm_entries.join(",\n")
+        ));
+    }
 
     let counter_entries: Vec<String> = counters
         .iter()
@@ -695,15 +674,22 @@ mod tests {
         assert!(text.contains("nacu_obs_drift_alarms_total{function=\"sigmoid\"} 1"));
         assert!(text.contains("nacu_obs_drift_alarm_latched 1"));
         assert!(text.contains("# TYPE nacu_obs_health_err_lsb histogram"));
-        let doc = json(&obs.snapshot(), 1e9, &[]);
+        let doc = json_v2(&obs.snapshot(), 1e9, &[], &[], &[], &[]);
         assert!(doc.contains("\"health\": {\"sample_interval\":1,\"alarm_latched\":true"));
         assert!(doc.contains("\"sigmoid\": {\"samples\":1,\"alarms\":1"));
     }
 
     #[test]
     fn json_carries_the_schema_tag_and_sections() {
-        let doc = json(&populated(), 1e9, &[("requests_submitted", 2)]);
-        assert!(doc.contains("\"schema\": \"nacu-obs/v1\""));
+        let doc = json_v2(
+            &populated(),
+            1e9,
+            &[("requests_submitted", 2)],
+            &[],
+            &[],
+            &[],
+        );
+        assert!(doc.contains("\"schema\": \"nacu-obs/v2\""));
         assert!(doc.contains("\"queue_wait_ns\""));
         assert!(doc.contains("\"sigmoid\": {\"count\":2"));
         assert!(doc.contains("\"counters\": {\"requests_submitted\":2}"));
@@ -754,26 +740,13 @@ mod tests {
     }
 
     #[test]
-    fn json_v2_adds_sections_and_preserves_every_v1_key() {
-        let snap = populated();
-        let counters = [("requests_submitted", 2u64)];
+    fn json_v2_renders_windows_exemplars_and_slo() {
         let (windows, exemplars, slo) = telemetry_inputs();
-        let v1 = json(&snap, 1e9, &counters);
-        let v2 = json_v2(&snap, 1e9, &counters, &windows, &exemplars, &slo);
-        assert!(v2.contains("\"schema\": \"nacu-obs/v2\""));
-        assert!(v2.contains("\"windows\": {"));
-        assert!(v2.contains("\"10s\": {\"span_ns\":1000000000,\"samples\":1"));
-        assert!(v2.contains("\"exemplars\": ["));
-        assert!(v2.contains("\"req\":42,\"conn\":3"));
-        assert!(v2.contains("\"slo\": {\"burning\":true"));
-        assert!(v2.contains("\"budget_ns\":50000"));
-        // Every v1 line survives verbatim except the schema tag.
-        for line in v1.lines() {
-            if line.contains("\"schema\"") {
-                continue;
-            }
-            assert!(v2.contains(line), "v2 lost v1 line: {line}");
-        }
+        let doc = json_v2(&populated(), 1e9, &[], &windows, &exemplars, &slo);
+        assert!(doc.contains("\"10s\": {\"span_ns\":1000000000,\"samples\":1"));
+        assert!(doc.contains("\"req\":42,\"conn\":3"));
+        assert!(doc.contains("\"slo\": {\"burning\":true"));
+        assert!(doc.contains("\"budget_ns\":50000"));
     }
 
     #[test]

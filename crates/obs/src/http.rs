@@ -11,7 +11,7 @@
 //!
 //! * `GET /metrics` — Prometheus text exposition (format 0.0.4), the
 //!   same bytes [`export::prometheus`] renders;
-//! * `GET /metrics.json` — the stable `nacu-obs/v1` JSON document;
+//! * `GET /metrics.json` — the stable `nacu-obs/v2` JSON document;
 //! * `GET /health` — `200 ok` while every worker is in service and no
 //!   drift alarm has latched, `503 degraded` otherwise, with a small
 //!   JSON body either way;
@@ -71,9 +71,9 @@ pub trait ScrapeSource: Send + Sync + 'static {
     fn workers(&self) -> WorkerCensus;
     /// The host's telemetry plane, when sampling is enabled. With a
     /// plane present, `/metrics` appends the telemetry families,
-    /// `/metrics.json` upgrades to the `nacu-obs/v2` document, and
-    /// `/slo` reports (and gates on) the burn-rate alarms. The default
-    /// keeps existing sources compiling and v1 output byte-identical.
+    /// `/metrics.json` fills its `windows`, `exemplars` and `slo`
+    /// sections, and `/slo` reports (and gates on) the burn-rate alarms.
+    /// Without one those sections are empty.
     fn telemetry(&self) -> Option<Arc<Telemetry>> {
         None
     }
@@ -237,17 +237,18 @@ fn handle(mut stream: TcpStream, source: &dyn ScrapeSource) -> io::Result<()> {
         "/metrics.json" => {
             let obs = source.obs();
             let counters = source.counters();
-            let body = match source.telemetry() {
-                Some(tele) => export::json_v2(
-                    &obs.snapshot(),
-                    source.clock_hz(),
-                    &counters,
-                    &telemetry_windows(&tele),
-                    &obs.exemplars(),
-                    &tele.statuses(),
-                ),
-                None => export::json(&obs.snapshot(), source.clock_hz(), &counters),
+            let (windows, exemplars, slo) = match source.telemetry() {
+                Some(tele) => (telemetry_windows(&tele), obs.exemplars(), tele.statuses()),
+                None => Default::default(),
             };
+            let body = export::json_v2(
+                &obs.snapshot(),
+                source.clock_hz(),
+                &counters,
+                &windows,
+                &exemplars,
+                &slo,
+            );
             respond(&mut stream, 200, "OK", "application/json", &body)
         }
         "/slo" => {
@@ -325,7 +326,7 @@ fn handle(mut stream: TcpStream, source: &dyn ScrapeSource) -> io::Result<()> {
             "text/plain; charset=utf-8",
             "nacu-obs scrape server\n\
              /metrics       Prometheus text exposition\n\
-             /metrics.json  nacu-obs/v1 JSON (v2 with telemetry enabled)\n\
+             /metrics.json  nacu-obs/v2 JSON\n\
              /health        200 ok | 503 degraded\n\
              /slo           SLO burn-rate alarms; 503 while burning\n\
              /trace         Chrome trace-event JSON (Perfetto)\n",
@@ -471,7 +472,9 @@ mod tests {
         assert!(body.contains("nacu_engine_requests_submitted_total 7"));
         let (status, body) = get(addr, "GET /metrics.json HTTP/1.1");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("\"schema\": \"nacu-obs/v1\""));
+        assert!(body.contains("\"schema\": \"nacu-obs/v2\""));
+        assert!(body.contains("\"exemplars\": []"));
+        assert!(body.contains("\"slo\": {\"burning\":false,\"alarms\":[]}"));
         let (status, body) = get(addr, "GET / HTTP/1.1");
         assert_eq!(status, "HTTP/1.1 200 OK");
         assert!(body.contains("/metrics.json"));

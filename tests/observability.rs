@@ -7,7 +7,8 @@
 //!
 //! * the Prometheus exposition parses line by line and carries both the
 //!   obs families and the engine's flat counters;
-//! * the JSON document keeps the stable `nacu-obs/v1` schema;
+//! * the JSON document keeps the one stable `nacu-obs/v2` schema, with
+//!   empty telemetry sections when no telemetry plane is armed;
 //! * a clean pool under aggressive shadow sampling raises **zero** drift
 //!   alarms (no false positives against the Eq. 7 bounds);
 //! * an injected LUT-bias perturbation that the parity detectors are
@@ -120,14 +121,22 @@ fn live_scrape_serves_valid_prometheus_and_stable_json() {
         // Q4.11 with healthy workers: every one of the 12×32 unary
         // operands was served from the response tables.
         "nacu_engine_fast_path_ops_total 384",
+        // A high-water mark is a gauge: `since` does not diff it.
+        "# TYPE nacu_engine_queue_depth_high_water gauge",
+        "# TYPE nacu_engine_requests_completed_total counter",
     ] {
         assert!(prom.contains(needle), "missing {needle:?} in:\n{prom}");
     }
 
     let (status, json) = get(addr, "/metrics.json");
     assert_eq!(status, "HTTP/1.1 200 OK");
-    assert!(json.contains("\"schema\": \"nacu-obs/v1\""), "{json}");
+    assert!(json.contains("\"schema\": \"nacu-obs/v2\""), "{json}");
     assert!(json.contains("\"sample_interval\":8"), "{json}");
+    assert!(json.contains("\"windows\": {\n\n  }"), "{json}");
+    assert!(
+        json.contains("\"slo\": {\"burning\":false,\"alarms\":[]}"),
+        "{json}"
+    );
     // Both wire formats carry the same flat engine counters.
     assert!(
         json.contains("\"nacu_engine_requests_completed_total\":12"),
@@ -311,7 +320,7 @@ fn live_slo_endpoint_degrades_under_burn_and_serves_v2_schema() {
     );
 
     // Both wire formats carry the alarm, the rolling windows and the
-    // tagged exemplar; the JSON document bumped to the v2 schema.
+    // tagged exemplar in their telemetry sections.
     let (status, prom) = get(addr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_valid_prometheus(&prom);
