@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use nacu::{Function, NacuConfig};
 use nacu_bench::engine_bench::{self, Workload};
-use nacu_engine::{Engine, EngineConfig, PAPER_CLOCK_HZ};
+use nacu_engine::{Engine, EngineConfig, MetricsSnapshot, PAPER_CLOCK_HZ};
 use nacu_obs::export;
 
 fn workload(function: Function, smoke: bool) -> Workload {
@@ -87,7 +87,8 @@ fn main() -> ExitCode {
     // Same flat-counter list the live scrape server serves, so this CI
     // artifact and `/metrics` can never drift apart.
     let named = engine.metrics().exporter_counters();
-    let prom = export::prometheus(&snap, PAPER_CLOCK_HZ, &named);
+    let help = MetricsSnapshot::exporter_help();
+    let prom = export::prometheus(&snap, PAPER_CLOCK_HZ, &named, &help);
     // No telemetry plane here: the windows, exemplars and slo sections
     // render empty, as on a live `/metrics.json` without telemetry.
     let json = export::json_v2(&snap, PAPER_CLOCK_HZ, &named, &[], &[], &[]);

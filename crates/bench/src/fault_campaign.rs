@@ -26,11 +26,12 @@
 //! this campaign measures how those guarantees compose over real
 //! operand streams, and emits the JSON record CI archives.
 
-use nacu::{Function, NacuConfig};
+use nacu::{Function, NacuConfig, NacuError};
 use nacu_faults::{
-    CheckedError, CheckedNacu, Fault, FaultEvent, FaultKind, FaultPlan, InjectionSite,
+    CheckedError, CheckedNacu, DetectorSet, Fault, FaultEvent, FaultKind, FaultPlan, InjectionSite,
 };
 use nacu_fixed::{Fx, Rounding};
+use nacu_funcapprox::{metrics, reference};
 
 /// Campaign shape: which corner of the fault space to sweep and how
 /// large a workload each trial replays.
@@ -429,6 +430,70 @@ pub fn run(config: &CampaignConfig) -> CampaignReport {
     }
 }
 
+/// One row of the ROM bit-sensitivity sweep ([`bit_sensitivity`]).
+#[derive(Debug, Clone)]
+pub struct SensitivityRow {
+    /// The ROM word holding the flipped bit: `LutSlope` or `LutBias`.
+    pub site: InjectionSite,
+    /// Bit position within the word, 0 = LSB.
+    pub bit: u32,
+    /// σ full-range max error with the bit flipped.
+    pub max_error: f64,
+    /// Ratio to the fault-free max error.
+    pub degradation: f64,
+}
+
+/// Flips each bit of LUT entry `entry`'s slope and bias words in turn
+/// and measures σ's full-range max error. A flip is the stuck-at fault
+/// at the complement of the stored bit; no detector is armed, so every
+/// corrupted word reaches the output.
+///
+/// # Errors
+///
+/// Propagates configuration errors.
+///
+/// # Panics
+///
+/// Panics if `entry` is not a LUT entry of the unit.
+pub fn bit_sensitivity(config: NacuConfig, entry: usize) -> Result<Vec<SensitivityRow>, NacuError> {
+    let clean = CheckedNacu::new(config)?.with_detectors(DetectorSet::none());
+    let baseline = sigma_max_error(&clean);
+    let mut rows = Vec::new();
+    for site in [InjectionSite::LutSlope, InjectionSite::LutBias] {
+        for bit in 0..config.format.total_bits() {
+            let max_error = sigma_max_error(&flipped(&clean, site, entry, bit));
+            rows.push(SensitivityRow {
+                site,
+                bit,
+                max_error,
+                degradation: max_error / baseline,
+            });
+        }
+    }
+    Ok(rows)
+}
+
+/// `clean` with bit `bit` of the `site` word of ROM entry `entry` stuck
+/// at its complement.
+fn flipped(clean: &CheckedNacu, site: InjectionSite, entry: usize, bit: u32) -> CheckedNacu {
+    let (slope, bias) = clean.golden().coefficients()[entry];
+    let word = if site == InjectionSite::LutSlope {
+        slope
+    } else {
+        bias
+    };
+    let stored = (word >> bit) & 1 == 1;
+    let fault = Fault::stuck_lut(site, entry, bit, !stored);
+    clean.clone().with_plan(FaultPlan::single(fault))
+}
+
+/// σ max error over every input code of a unit whose detectors are off.
+fn sigma_max_error(unit: &CheckedNacu) -> f64 {
+    let fmt = unit.config().format;
+    let sigma = |x| unit.sigmoid(x).expect("no detector armed").to_f64();
+    metrics::sweep_raw_range(fmt, fmt.min_raw(), fmt.max_raw(), reference::sigmoid, sigma).max_error
+}
+
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -647,5 +712,42 @@ mod tests {
         );
         assert!(json.contains("\"lut_coverage\""));
         assert!(json.contains("\"cells\""));
+    }
+
+    fn paper_rom_flip(site: InjectionSite, entry: usize, bit: u32) -> CheckedNacu {
+        let clean = CheckedNacu::new(NacuConfig::paper_16bit())
+            .expect("paper config")
+            .with_detectors(DetectorSet::none());
+        flipped(&clean, site, entry, bit)
+    }
+
+    #[test]
+    fn lsb_fault_is_nearly_harmless() {
+        let faulted = sigma_max_error(&paper_rom_flip(InjectionSite::LutBias, 3, 0));
+        let baseline = sigma_max_error(&CheckedNacu::new(NacuConfig::paper_16bit()).unwrap());
+        // One bias LSB (2^-13) perturbs one segment by at most one LSB.
+        assert!(faulted < baseline + 2e-4);
+    }
+
+    #[test]
+    fn msb_fault_is_catastrophic_and_detectable() {
+        // Bit 14 is the top magnitude bit of the bias word.
+        let faulted = sigma_max_error(&paper_rom_flip(InjectionSite::LutBias, 0, 14));
+        assert!(faulted > 0.1, "an MSB flip must be glaring: {faulted}");
+    }
+
+    #[test]
+    fn sensitivity_grows_with_bit_position() {
+        let rows = bit_sensitivity(NacuConfig::paper_16bit(), 2).unwrap();
+        let bias_rows: Vec<&SensitivityRow> = rows
+            .iter()
+            .filter(|r| r.site == InjectionSite::LutBias)
+            .collect();
+        let low = bias_rows[1].max_error; // bit 1
+        let high = bias_rows[13].max_error; // bit 13
+        assert!(
+            high > 10.0 * low,
+            "high bits must hurt more: {high} vs {low}"
+        );
     }
 }

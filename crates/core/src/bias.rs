@@ -26,7 +26,7 @@
 ///
 /// Like the silicon it models, the function is **total**: an operand
 /// outside the Fig. 3a precondition (possible only through a faulted ROM,
-/// see [`crate::faults`]) still produces exactly the bit pattern the
+/// see `nacu-faults`) still produces exactly the bit pattern the
 /// circuit would emit — it equals `1 − q` only inside `[0.5, 1]`.
 #[must_use]
 pub fn one_minus_q(q_raw: i64, frac_bits: u32) -> i64 {

@@ -17,6 +17,15 @@
 //! so the division sees more fractional bits than the output format
 //! carries — the reason the measured exp error stays within the Eq. 16
 //! bound of 4·δσ.
+//!
+//! The walk is written once, generic over [`Nets`]: one hook per named
+//! net (the ROM read port, the bias-transform output, the MAC operand
+//! latches and accumulator, the σ output register). [`Nacu`]'s own
+//! fault-free nets pass every value through and cannot fail, so
+//! [`Nacu::sigmoid`] and friends compile to the plain walk; `nacu-faults`
+//! supplies nets that inject faults and run detectors on the same wires.
+
+use std::convert::Infallible;
 
 use nacu_fixed::{Fx, Overflow, QFormat, Rounding};
 use nacu_funcapprox::reference::RefFunc;
@@ -27,13 +36,67 @@ use crate::config::{Function, NacuConfig};
 use crate::divider;
 use crate::NacuError;
 
-/// One coefficient-LUT record: raw `(m₁, q)` codes.
+/// The named nets of the Fig. 2 walk, one hook per net.
+///
+/// The walk calls each hook with the value the datapath drives onto that
+/// net and carries on with the value the hook returns; an `Err` (a
+/// detector firing) stops the evaluation there. Every hook defaults to
+/// passing its value through.
+pub trait Nets {
+    /// What a hook raises instead of a value.
+    type Event;
+
+    /// The ROM read port: `stored` is the golden `(m₁, q)` record of
+    /// entry `_index`.
+    fn lut(&self, _index: usize, stored: (i64, i64)) -> Result<(i64, i64), Self::Event> {
+        Ok(stored)
+    }
+
+    /// The Fig. 3 bias-transform output feeding the MAC's bias port.
+    fn bias_out(&self, bias: i64) -> Result<i64, Self::Event> {
+        Ok(bias)
+    }
+
+    /// The MAC's slope operand latch (multiplier port A).
+    fn mac_a(&self, slope: i64) -> Result<i64, Self::Event> {
+        Ok(slope)
+    }
+
+    /// The MAC's magnitude operand latch (multiplier port B).
+    fn mac_b(&self, mag: i64) -> Result<i64, Self::Event> {
+        Ok(mag)
+    }
+
+    /// The widened accumulator's pre-round sum, with the source nets it
+    /// was computed from.
+    fn accumulator(&self, sum: i128, _sources: &MacSources) -> Result<i128, Self::Event> {
+        Ok(sum)
+    }
+
+    /// The σ output register at `_out_frac` fractional bits (post-round,
+    /// pre-saturation); also the exp path's divider operand.
+    fn sigma_out(&self, raw: i64, _out_frac: u32) -> Result<i64, Self::Event> {
+        Ok(raw)
+    }
+}
+
+/// The values on the MAC's source nets, ahead of its operand latches.
+/// Unfaulted, the accumulator holds `slope·mag + (bias << bias_shift)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CoeffEntry {
-    /// Slope in the coefficient format `Q1.(N−2)`.
-    slope_raw: i64,
-    /// Bias in the bias format `Q2.(N−3)`.
-    bias_raw: i64,
+pub struct MacSources {
+    pub slope: i64,
+    pub mag: i64,
+    pub bias: i64,
+    pub bias_shift: u32,
+}
+
+/// The fault-free nets: zero-sized, every value passes through
+/// unchanged and no hook can fail, so the walk over them compiles to the
+/// plain arithmetic.
+struct Golden;
+
+impl Nets for Golden {
+    type Event = Infallible;
 }
 
 /// A configured NACU instance.
@@ -44,13 +107,15 @@ struct CoeffEntry {
 #[derive(Debug, Clone)]
 pub struct Nacu {
     config: NacuConfig,
-    entries: Vec<CoeffEntry>,
+    /// The ROM: raw `(m₁, q)` codes, slope in `Q1.(N−2)`, bias in the
+    /// bias format.
+    entries: Vec<(i64, i64)>,
     /// Raw-code boundaries of the LUT segments (ascending, positive).
     bounds: Vec<i64>,
     coef_fmt: QFormat,
+    /// Bias format `Q2.(N−3)`; also the divider's working format (holds
+    /// σ ∈ [0.5, 1], σ′ ∈ [1, 2]).
     bias_fmt: QFormat,
-    /// Divider working format `Q2.(N−3)` (holds σ ∈ [0.5, 1], σ′ ∈ [1, 2]).
-    work_fmt: QFormat,
 }
 
 impl Nacu {
@@ -66,7 +131,6 @@ impl Nacu {
         let n = fmt.total_bits();
         let coef_fmt = QFormat::new(1, n - 2).expect("coef format");
         let bias_fmt = QFormat::new(2, n - 3).expect("bias format");
-        let work_fmt = bias_fmt;
         // Uniform segment boundaries in raw input codes over [0, max_raw].
         let entries_n = config.lut_entries as i64;
         let span = fmt.max_raw() + 1;
@@ -81,10 +145,7 @@ impl Nacu {
                 let slope = Fx::from_f64(fit.slope, coef_fmt, Rounding::Nearest);
                 let bias_val = segment::refit_bias(RefFunc::Sigmoid, seg, slope.to_f64());
                 let bias = Fx::from_f64(bias_val, bias_fmt, Rounding::Nearest);
-                CoeffEntry {
-                    slope_raw: slope.raw(),
-                    bias_raw: bias.raw(),
-                }
+                (slope.raw(), bias.raw())
             })
             .collect();
         Ok(Self {
@@ -93,37 +154,7 @@ impl Nacu {
             bounds,
             coef_fmt,
             bias_fmt,
-            work_fmt,
         })
-    }
-
-    /// Builds an instance with **explicit ROM contents** instead of fitted
-    /// ones: `coefficients[i]` is the `(m₁, q)` raw pair of segment `i`.
-    /// Used by the fault-injection tooling ([`crate::faults`]) and by
-    /// round-trip tests against externally authored ROMs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NacuConfig::validate`] failures, and returns
-    /// [`NacuError::BadLutSize`] if the coefficient count does not match
-    /// `config.lut_entries`.
-    pub fn from_coefficients(
-        config: NacuConfig,
-        coefficients: &[(i64, i64)],
-    ) -> Result<Self, NacuError> {
-        let mut nacu = Self::new(config)?;
-        if coefficients.len() != nacu.entries.len() {
-            return Err(NacuError::BadLutSize {
-                entries: coefficients.len(),
-            });
-        }
-        for (slot, &(slope_raw, bias_raw)) in nacu.entries.iter_mut().zip(coefficients) {
-            *slot = CoeffEntry {
-                slope_raw: nacu.coef_fmt.saturate_raw(slope_raw as i128),
-                bias_raw: nacu.bias_fmt.saturate_raw(bias_raw as i128),
-            };
-        }
-        Ok(nacu)
     }
 
     /// The configuration this instance was built with.
@@ -144,16 +175,7 @@ impl Nacu {
     /// tooling).
     #[must_use]
     pub fn coefficients(&self) -> Vec<(i64, i64)> {
-        self.entries
-            .iter()
-            .map(|e| (e.slope_raw, e.bias_raw))
-            .collect()
-    }
-
-    /// The coefficient (slope) storage format, `Q1.(N−2)`.
-    #[must_use]
-    pub fn coef_format(&self) -> QFormat {
-        self.coef_fmt
+        self.entries.clone()
     }
 
     /// The bias storage format, `Q2.(N−3)` — the word the Fig. 3 units
@@ -161,13 +183,6 @@ impl Nacu {
     #[must_use]
     pub fn bias_format(&self) -> QFormat {
         self.bias_fmt
-    }
-
-    /// The divider/exp working format `Q2.(N−3)` — the word σ is kept in
-    /// on the exp path before the reciprocal.
-    #[must_use]
-    pub fn work_format(&self) -> QFormat {
-        self.work_fmt
     }
 
     /// Raw-code segment boundaries of the σ LUT (ascending, positive;
@@ -195,16 +210,6 @@ impl Nacu {
     /// the operand net feeding the LUT address and the MAC.
     #[must_use]
     pub fn magnitude_raw(&self, x: Fx) -> i64 {
-        self.magnitude(x)
-    }
-
-    /// LUT lookup by positive raw address (clamped into range).
-    fn lookup(&self, mag_raw: i64) -> CoeffEntry {
-        self.entries[self.lookup_index(mag_raw)]
-    }
-
-    /// Magnitude of an input code, saturating the asymmetric minimum.
-    fn magnitude(&self, x: Fx) -> i64 {
         if x.raw() < 0 {
             (-(x.raw() as i128)).min(self.config.format.max_raw() as i128) as i64
         } else {
@@ -212,65 +217,152 @@ impl Nacu {
         }
     }
 
+    /// The ROM read at a positive raw address (clamped into range).
+    fn lookup<N: Nets>(&self, nets: &N, address: i64) -> Result<(i64, i64), N::Event> {
+        let index = self.lookup_index(address);
+        nets.lut(index, self.entries[index])
+    }
+
     /// The shared multiply-add: `slope·mag + bias`, computed at the
     /// internal scale and rounded once into `out_frac` fractional bits.
-    fn mul_add(&self, slope_raw: i64, mag_raw: i64, bias_raw: i64, out_frac: u32) -> i64 {
+    fn mac<N: Nets>(
+        &self,
+        nets: &N,
+        slope: i64,
+        mag: i64,
+        bias: i64,
+        out_frac: u32,
+    ) -> Result<i64, N::Event> {
         let internal_f = self.coef_fmt.frac_bits() + self.config.format.frac_bits();
-        let product = slope_raw as i128 * mag_raw as i128;
         let bias_shift = internal_f - self.bias_fmt.frac_bits();
-        let bias = (bias_raw as i128) << bias_shift;
-        let sum = product + bias;
-        Rounding::Nearest.shift_right(sum, internal_f - out_frac) as i64
+        let a = nets.mac_a(slope)?;
+        let b = nets.mac_b(mag)?;
+        let sum = a as i128 * b as i128 + ((bias as i128) << bias_shift);
+        let sources = MacSources {
+            slope,
+            mag,
+            bias,
+            bias_shift,
+        };
+        let sum = nets.accumulator(sum, &sources)?;
+        Ok(Rounding::Nearest.shift_right(sum, internal_f - out_frac) as i64)
+    }
+
+    /// Saturates a raw result into the output format.
+    fn output(&self, raw: i64) -> Fx {
+        let fmt = self.config.format;
+        Fx::from_raw_saturating(fmt.saturate_raw(raw as i128), fmt)
+    }
+
+    /// σ at an arbitrary output scale (the exp path asks for the working
+    /// format's extra fractional bits), Eqs. 8–9.
+    fn sigma_word<N: Nets>(&self, nets: &N, x: Fx, out_frac: u32) -> Result<i64, N::Event> {
+        let mag = self.magnitude_raw(x);
+        let (slope, q) = self.lookup(nets, mag)?;
+        let (slope, bias) = if x.raw() >= 0 {
+            (slope, q)
+        } else {
+            (-slope, bias::one_minus_q(q, self.bias_fmt.frac_bits()))
+        };
+        let bias = nets.bias_out(bias)?;
+        let raw = self.mac(nets, slope, mag, bias, out_frac)?;
+        nets.sigma_out(raw, out_frac)
+    }
+
+    /// σ over the full input range (Eqs. 8–9).
+    fn sigmoid_in<N: Nets>(&self, nets: &N, x: Fx) -> Result<Fx, N::Event> {
+        let raw = self.sigma_word(nets, x, self.config.format.frac_bits())?;
+        Ok(self.output(raw))
+    }
+
+    /// tanh over the full input range (Eqs. 10–11).
+    fn tanh_in<N: Nets>(&self, nets: &N, x: Fx) -> Result<Fx, N::Event> {
+        let mag = self.magnitude_raw(x);
+        // Address the σ LUT at 2x (Eq. 3's stretch), saturating.
+        let address = (2 * mag).min(self.config.format.max_raw());
+        let (slope, q) = self.lookup(nets, address)?;
+        // Slope scaling 2^{i+1}·m₁ = 4·m₁: arithmetic left shift by 2,
+        // saturating in the coefficient word.
+        let slope4 = self.coef_fmt.saturate_raw((slope as i128) << 2);
+        let f = self.bias_fmt.frac_bits();
+        let (slope, bias) = if x.raw() >= 0 {
+            (slope4, bias::two_q_minus_one(q, f))
+        } else {
+            (-slope4, bias::one_minus_two_q(q, f))
+        };
+        let bias = nets.bias_out(bias)?;
+        let raw = self.mac(nets, slope, mag, bias, self.config.format.frac_bits())?;
+        Ok(self.output(raw))
+    }
+
+    /// `e^x` via Eq. 14: `σ(−x)` → divider → Fig. 3b decrementor.
+    fn exp_in<N: Nets>(&self, nets: &N, x: Fx) -> Result<Fx, N::Event> {
+        let clamped = if x.raw() > 0 { Fx::zero(x.format()) } else { x };
+        // σ(−x) = σ(|x|) ∈ [0.5, 1], kept in the divider's working word.
+        let work_fmt = self.bias_fmt;
+        let wf = work_fmt.frac_bits();
+        let neg = Fx::from_raw_saturating(-clamped.raw(), self.config.format);
+        let sigma_raw = work_fmt.saturate_raw(self.sigma_word(nets, neg, wf)? as i128);
+        // σ quantised below 0.5 can only happen through rounding at the
+        // segment edge; the divider operand clamps into [0.5, 1].
+        let one = 1_i64 << wf;
+        let sigma_raw = sigma_raw.clamp(one / 2, one);
+        let sigma = Fx::from_raw_saturating(sigma_raw, work_fmt);
+        let sigma_prime = divider::reciprocal(sigma).expect("σ ≥ 0.5 is non-zero");
+        // σ' ∈ [1, 2]: the Fig. 3b structure decrements it to e^x ∈ [0, 1].
+        let sp = sigma_prime.raw().clamp(one, 2 * one);
+        let e_raw = bias::decrement_unit(sp, wf);
+        Ok(Fx::from_raw_saturating(e_raw, work_fmt).resize(
+            self.config.format,
+            Rounding::Nearest,
+            Overflow::Saturate,
+        ))
+    }
+
+    /// Evaluates `function` at `x` along the walk, with `nets` on its
+    /// named wires. With nets that pass every value through, this is
+    /// [`Nacu::compute`].
+    ///
+    /// # Errors
+    ///
+    /// The first event a hook of `nets` raises.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not in the configured format, and for
+    /// [`Function::Softmax`] / [`Function::Mac`], which need the
+    /// vector/accumulator interface.
+    pub fn compute_with<N: Nets>(
+        &self,
+        nets: &N,
+        function: Function,
+        x: Fx,
+    ) -> Result<Fx, N::Event> {
+        self.assert_format(x);
+        match function {
+            Function::Sigmoid => self.sigmoid_in(nets, x),
+            Function::Tanh => self.tanh_in(nets, x),
+            Function::Exp => self.exp_in(nets, x),
+            Function::Softmax | Function::Mac => {
+                panic!("{function} needs the vector/accumulator interface")
+            }
+        }
     }
 
     /// Computes σ(x) over the full input range (Eqs. 8–9).
     #[must_use]
     pub fn sigmoid(&self, x: Fx) -> Fx {
         self.assert_format(x);
-        let raw = self.sigmoid_raw(x, self.config.format.frac_bits());
-        Fx::from_raw_saturating(
-            self.config.format.saturate_raw(raw as i128),
-            self.config.format,
-        )
-    }
-
-    /// σ at an arbitrary output scale (the exp path asks for the working
-    /// format's extra fractional bits).
-    fn sigmoid_raw(&self, x: Fx, out_frac: u32) -> i64 {
-        let mag = self.magnitude(x);
-        let entry = self.lookup(mag);
-        if x.raw() >= 0 {
-            self.mul_add(entry.slope_raw, mag, entry.bias_raw, out_frac)
-        } else {
-            let bias = bias::one_minus_q(entry.bias_raw, self.bias_fmt.frac_bits());
-            self.mul_add(-entry.slope_raw, mag, bias, out_frac)
-        }
+        let Ok(y) = self.sigmoid_in(&Golden, x);
+        y
     }
 
     /// Computes tanh(x) over the full input range (Eqs. 10–11).
     #[must_use]
     pub fn tanh(&self, x: Fx) -> Fx {
         self.assert_format(x);
-        let mag = self.magnitude(x);
-        // Address the σ LUT at 2x (Eq. 3's stretch), saturating.
-        let address = (2 * mag).min(self.config.format.max_raw());
-        let entry = self.lookup(address);
-        // Slope scaling 2^{i+1}·m₁ = 4·m₁: arithmetic left shift by 2,
-        // saturating in the coefficient word.
-        let slope4 = self.coef_fmt.saturate_raw((entry.slope_raw as i128) << 2);
-        let f = self.bias_fmt.frac_bits();
-        let out_frac = self.config.format.frac_bits();
-        let raw = if x.raw() >= 0 {
-            let bias = bias::two_q_minus_one(entry.bias_raw, f);
-            self.mul_add(slope4, mag, bias, out_frac)
-        } else {
-            let bias = bias::one_minus_two_q(entry.bias_raw, f);
-            self.mul_add(-slope4, mag, bias, out_frac)
-        };
-        Fx::from_raw_saturating(
-            self.config.format.saturate_raw(raw as i128),
-            self.config.format,
-        )
+        let Ok(y) = self.tanh_in(&Golden, x);
+        y
     }
 
     /// Computes `e^x` for a non-positive (max-normalised) input via Eq. 14:
@@ -282,27 +374,8 @@ impl Nacu {
     #[must_use]
     pub fn exp(&self, x: Fx) -> Fx {
         self.assert_format(x);
-        let clamped = if x.raw() > 0 { Fx::zero(x.format()) } else { x };
-        // σ(−x) = σ(|x|) ∈ [0.5, 1], kept in the divider's working word.
-        let wf = self.work_fmt.frac_bits();
-        let neg = Fx::from_raw_saturating(-clamped.raw(), self.config.format);
-        let sigma_raw = self
-            .work_fmt
-            .saturate_raw(self.sigmoid_raw(neg, wf) as i128);
-        // σ quantised below 0.5 can only happen through rounding at the
-        // segment edge; the divider operand clamps into [0.5, 1].
-        let one = 1_i64 << wf;
-        let sigma_raw = sigma_raw.clamp(one / 2, one);
-        let sigma = Fx::from_raw_saturating(sigma_raw, self.work_fmt);
-        let sigma_prime = divider::reciprocal(sigma).expect("σ ≥ 0.5 is non-zero");
-        // σ' ∈ [1, 2]: the Fig. 3b structure decrements it to e^x ∈ [0, 1].
-        let sp = sigma_prime.raw().clamp(one, 2 * one);
-        let e_raw = bias::decrement_unit(sp, wf);
-        Fx::from_raw_saturating(e_raw, self.work_fmt).resize(
-            self.config.format,
-            Rounding::Nearest,
-            Overflow::Saturate,
-        )
+        let Ok(y) = self.exp_in(&Golden, x);
+        y
     }
 
     /// Computes the max-normalised softmax (Eq. 13) of a vector: one pass
@@ -314,66 +387,68 @@ impl Nacu {
     /// Returns [`NacuError::EmptyVector`] for an empty input, or
     /// [`NacuError::Fixed`] if the inputs carry mixed formats.
     pub fn softmax(&self, inputs: &[Fx]) -> Result<Vec<Fx>, NacuError> {
-        self.softmax_with(inputs, |x| self.exp(x))
+        self.softmax_with(inputs, |x| Ok(self.exp(x)))
     }
 
-    /// [`Nacu::softmax`] with a pluggable exp stage: `exp_fn` must map a
-    /// non-positive operand in the configured format to `e^x` in the same
-    /// format, exactly as [`Nacu::exp`] does. The max-normalisation, the
-    /// widened MAC accumulation and the pass-2 restoring divider are this
-    /// datapath's own either way.
+    /// [`Nacu::softmax`] with a pluggable, fallible exp stage: `exp_fn`
+    /// must map a non-positive operand in the configured format to `e^x`
+    /// in the same format, exactly as [`Nacu::exp`] does, or fail. The
+    /// max-normalisation, the widened MAC accumulation and the pass-2
+    /// restoring divider are this datapath's own either way.
     ///
-    /// This is the hook the serving engine's response-table fast path
-    /// uses ([`crate::table::ResponseTables`]): the exp stage comes from
-    /// an exhaustively datapath-equal table, so the whole softmax stays
-    /// bit-identical — the working-format resize after `exp_fn` is exact
-    /// for any value in `[0, 1]`, which is the entire exp range.
+    /// Two stages plug in here: the serving engine's response-table fast
+    /// path ([`crate::table::ResponseTables`]), whose exp stage is an
+    /// exhaustively datapath-equal table — the working-format resize
+    /// after `exp_fn` is exact for any value in `[0, 1]`, the entire exp
+    /// range — and `nacu-faults`' checked unit, whose exp stage can raise
+    /// a detector event.
     ///
     /// # Errors
     ///
-    /// As [`Nacu::softmax`].
-    pub fn softmax_with<F>(&self, inputs: &[Fx], exp_fn: F) -> Result<Vec<Fx>, NacuError>
+    /// As [`Nacu::softmax`] (converted into `E`), or the first error of
+    /// `exp_fn`.
+    pub fn softmax_with<E, F>(&self, inputs: &[Fx], mut exp_fn: F) -> Result<Vec<Fx>, E>
     where
-        F: Fn(Fx) -> Fx,
+        E: From<NacuError>,
+        F: FnMut(Fx) -> Result<Fx, E>,
     {
         if inputs.is_empty() {
-            return Err(NacuError::EmptyVector);
+            return Err(NacuError::EmptyVector.into());
         }
         for x in inputs {
             if x.format() != self.config.format {
                 return Err(NacuError::Fixed(nacu_fixed::FxError::FormatMismatch {
                     lhs: x.format(),
                     rhs: self.config.format,
-                }));
+                })
+                .into());
             }
         }
         let max_raw = inputs.iter().map(Fx::raw).max().expect("non-empty");
         let max = Fx::from_raw_saturating(max_raw, self.config.format);
         // Pass 1: e^{x_i - x_max} in the working word; MAC accumulates the
         // denominator in a widened accumulator (Fig. 2's feedback path).
-        let wf = self.work_fmt.frac_bits();
+        let work_fmt = self.bias_fmt;
+        let wf = work_fmt.frac_bits();
         let acc_fmt = QFormat::new(self.config.format.int_bits() + 7, wf).expect("acc format");
         let mut denom = Fx::zero(acc_fmt);
         let mut exps = Vec::with_capacity(inputs.len());
         for &x in inputs {
-            let diff = x.saturating_sub(max)?;
-            let e = exp_fn(diff);
+            let diff = x.saturating_sub(max).map_err(NacuError::Fixed)?;
+            let e = exp_fn(diff)?;
             // Keep the full working precision for normalisation.
-            let e_work = e.resize(self.work_fmt, Rounding::Nearest, Overflow::Saturate);
+            let e_work = e.resize(work_fmt, Rounding::Nearest, Overflow::Saturate);
             exps.push(e_work);
-            denom = denom.saturating_add(e_work.resize(
-                acc_fmt,
-                Rounding::Nearest,
-                Overflow::Saturate,
-            ))?;
+            denom = denom
+                .saturating_add(e_work.resize(acc_fmt, Rounding::Nearest, Overflow::Saturate))
+                .map_err(NacuError::Fixed)?;
         }
         // Pass 2: scale each exp by the common normalisation factor.
         let mut out = Vec::with_capacity(inputs.len());
         for e in exps {
             let q =
                 divider::restoring_divide(e.raw(), denom.raw(), wf).map_err(NacuError::Fixed)?;
-            let q_work =
-                Fx::from_raw_saturating(self.work_fmt.saturate_raw(q as i128), self.work_fmt);
+            let q_work = Fx::from_raw_saturating(work_fmt.saturate_raw(q as i128), work_fmt);
             out.push(q_work.resize(self.config.format, Rounding::Nearest, Overflow::Saturate));
         }
         Ok(out)
@@ -388,14 +463,8 @@ impl Nacu {
     /// [`MacAccumulator`].
     #[must_use]
     pub fn compute(&self, function: Function, x: Fx) -> Fx {
-        match function {
-            Function::Sigmoid => self.sigmoid(x),
-            Function::Tanh => self.tanh(x),
-            Function::Exp => self.exp(x),
-            Function::Softmax | Function::Mac => {
-                panic!("{function} needs the vector/accumulator interface")
-            }
-        }
+        let Ok(y) = self.compute_with(&Golden, function, x);
+        y
     }
 
     fn assert_format(&self, x: Fx) {

@@ -15,6 +15,11 @@
 //!   decrementor,
 //! * softmax (Eq. 13) — max-normalised exp plus the MAC and divider.
 //!
+//! That walk is written once, in [`datapath`], generic over the
+//! [`datapath::Nets`] on its named wires: [`Nacu`] runs it over
+//! fault-free nets, and `nacu-faults` runs the same walk with fault taps
+//! and detectors on them.
+//!
 //! The model operates on raw two's-complement codes throughout
 //! ([`nacu_fixed::Fx`]), so its outputs are bit-identical to an RTL
 //! simulation of the same micro-architecture; every error figure in the
@@ -42,7 +47,6 @@ pub mod config;
 pub mod datapath;
 pub mod divider;
 pub mod error_prop;
-pub mod faults;
 pub mod format;
 pub mod pipeline;
 pub mod table;

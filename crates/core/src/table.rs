@@ -220,6 +220,7 @@ impl ResponseTables {
 mod tests {
     use super::*;
     use crate::config::NacuConfig;
+    use crate::NacuError;
 
     fn tables_for(config: NacuConfig) -> (Nacu, ResponseTables) {
         let nacu = Nacu::new(config).expect("valid config");
@@ -278,7 +279,7 @@ mod tests {
             .collect();
         let golden = nacu.softmax(&inputs).expect("valid vector");
         let fast = nacu
-            .softmax_with(&inputs, |x| tables.exp().lookup(x))
+            .softmax_with(&inputs, |x| Ok::<_, NacuError>(tables.exp().lookup(x)))
             .expect("valid vector");
         assert_eq!(golden, fast);
     }

@@ -745,6 +745,10 @@ impl ScrapeSource for HandleSource {
         self.shared.pool.metrics.snapshot().exporter_counters()
     }
 
+    fn counter_help(&self) -> Vec<(&'static str, &'static str)> {
+        MetricsSnapshot::exporter_help()
+    }
+
     fn workers(&self) -> WorkerCensus {
         WorkerCensus {
             total: self.shared.pool.health.len(),

@@ -9,8 +9,9 @@
 //!
 //! Every counter is one row of the `counters!` table below, which
 //! generates the storage, the [`Counter`] names recorders pass to
-//! [`EngineMetrics::add`], the [`MetricsSnapshot`] fields, `since` and
-//! `exporter_counters`: adding a counter is one row.
+//! [`EngineMetrics::add`], the [`MetricsSnapshot`] fields, `since`,
+//! `exporter_counters` and `exporter_help`: adding a counter is one row,
+//! and its doc comment is its Prometheus `# HELP` text.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,10 +46,12 @@ type OpCounts = [[u64; 2]; 4];
 /// `field: Kind(Variant) => "exporter_name";` is a stored counter that
 /// recorders name as `Counter::Variant`; `field: Kind = |ops| …;` is
 /// derived from the op matrix at snapshot time. `=> "name"` is left out
-/// for a field that is not exported as a flat counter.
+/// for a field that is not exported as a flat counter. A row's doc
+/// comment, joined onto one line, is the exported series' help text, so
+/// it is plain prose: no links, backticks or backslashes.
 macro_rules! counters {
     ($(
-        $(#[$doc:meta])*
+        $(#[doc = $doc:literal])*
         $field:ident : $kind:ident $(($Variant:ident))? $(= $derive:expr)? $(=> $export:literal)?;
     )*) => {
         /// The engine's stored counters, for [`EngineMetrics::add`] and
@@ -77,7 +80,7 @@ macro_rules! counters {
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct MetricsSnapshot {
             $(
-                $(#[$doc])*
+                $(#[doc = $doc])*
                 pub $field: u64,
             )*
         }
@@ -110,6 +113,19 @@ macro_rules! counters {
                 vec![$($(($export, self.$field),)?)*]
             }
 
+            /// `(exporter_name, help)` for every exported counter, in
+            /// [`MetricsSnapshot::exporter_counters`] order: the row's doc
+            /// comment on one line, for the Prometheus `# HELP` text.
+            #[must_use]
+            pub fn exporter_help() -> Vec<(&'static str, &'static str)> {
+                // Each row's export name as a zero- or one-element list,
+                // beside its joined doc lines (each begins with a space).
+                let rows: &[(&[&str], &str)] = &[$((&[$($export)?], concat!($($doc),*)),)*];
+                rows.iter()
+                    .filter_map(|&(export, doc)| Some((*export.first()?, doc.trim())))
+                    .collect()
+            }
+
             /// Counter-wise difference since `earlier` (saturating, so a
             /// stale baseline never underflows). High-water marks are
             /// absolute, not cumulative, and pass through.
@@ -133,11 +149,11 @@ macro_rules! counters {
 counters! {
     /// Requests accepted into the queue.
     requests_submitted: Sum(RequestsSubmitted) => "nacu_engine_requests_submitted_total";
-    /// Requests answered with a [`crate::Response`].
+    /// Requests answered with a response.
     requests_completed: Sum(RequestsCompleted) => "nacu_engine_requests_completed_total";
     /// Requests dropped at pickup because their deadline had passed.
     requests_expired: Sum(RequestsExpired) => "nacu_engine_requests_expired_total";
-    /// Submissions refused with `Busy` because the queue was full.
+    /// Submissions refused as busy because the queue was full.
     busy_rejections: Sum(BusyRejections) => "nacu_engine_busy_rejections_total";
     /// Fused hardware batches executed by the pool.
     batches_executed: Sum(BatchesExecuted) => "nacu_engine_batches_executed_total";
@@ -153,7 +169,7 @@ counters! {
     softmax_ops: Sum = |ops: &OpCounts| ops[3][0] + ops[3][1];
     /// Total modeled pipeline cycles across all batches.
     modeled_cycles: Sum(ModeledCycles);
-    /// Detector firings ([`nacu_faults::FaultEvent`]s) observed by workers.
+    /// Detector firings (fault events) observed by workers.
     faults_detected: Sum(FaultsDetected) => "nacu_engine_faults_detected_total";
     /// Workers that quarantined themselves after a detector fired.
     workers_quarantined: Sum(WorkersQuarantined) => "nacu_engine_workers_quarantined_total";
@@ -402,6 +418,26 @@ mod tests {
             .filter(|&name| name != "nacu_engine_fast_path_ops_total")
             .collect();
         assert_eq!(exported_by_counters, stored);
+    }
+
+    /// Every exported counter carries its row's doc comment as one line
+    /// of Prometheus-safe help text.
+    #[test]
+    fn every_exported_counter_has_one_line_help() {
+        let help = MetricsSnapshot::exporter_help();
+        let names: Vec<&str> = help.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, EXPORTED);
+        for (name, text) in help {
+            assert!(text.ends_with('.'), "{name}: {text:?}");
+            assert!(
+                !text.starts_with(' ') && !text.contains("  "),
+                "{name}: {text:?}"
+            );
+            assert!(
+                !text.contains(['[', '`', '\\', '\n']),
+                "{name}: {text:?} is not plain one-line prose"
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use nacu::{Function, NacuConfig, ResponseTable, ResponseTables};
+use nacu::{Function, NacuConfig, NacuError, ResponseTable, ResponseTables};
 use nacu_faults::{CheckedError, CheckedNacu, FaultEvent};
 use nacu_obs::{Obs, Stage, TraceKind};
 use nacu_replay::Recorder;
@@ -453,7 +453,7 @@ fn serve_softmax(
         let outputs = if let Some(table) = exp_table {
             // Infallible: the golden unit has no detectors to trip.
             unit.golden()
-                .softmax_with(operands, |x| table.lookup(x))
+                .softmax_with(operands, |x| Ok::<_, NacuError>(table.lookup(x)))
                 .expect("submit validated the vector")
         } else {
             match unit.softmax(operands) {

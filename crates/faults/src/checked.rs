@@ -1,14 +1,15 @@
-//! The checked datapath: a [`Nacu`] shadowed by injectors and detectors.
+//! The checked datapath: the one Fig. 2 walk with injectors and detectors
+//! on its nets.
 //!
-//! [`CheckedNacu`] recomputes the Fig. 2 evaluation from the same nets the
-//! core datapath uses — the stored ROM words, the magnitude/address
-//! decode, the Fig. 3 bias transforms and the widened MAC — but taps every
-//! named [`InjectionSite`] through the unit's [`FaultPlan`] and runs the
-//! armed [`DetectorSet`] alongside. With an empty plan the output is
-//! **bit-identical** to [`Nacu`] for every function (property-tested in
-//! `tests/bit_identity.rs`); with faults armed, each evaluation either
-//! returns the exact corrupted value the silicon would emit or surfaces a
-//! typed [`FaultEvent`].
+//! [`CheckedNacu`] evaluates through the same walk as [`Nacu`]
+//! ([`Nacu::compute_with`], [`Nacu::softmax_with`]), over its own
+//! [`Nets`]: the stored ROM words with permanent faults baked in, the
+//! unit's [`FaultPlan`] tapping every named [`InjectionSite`], and the
+//! armed [`DetectorSet`] checking the nets it watches. With an empty plan
+//! the output is **bit-identical** to [`Nacu`] for every function
+//! (checked exhaustively in the workspace's root `tests/bit_identity.rs`);
+//! with faults armed, each evaluation either returns the exact corrupted
+//! value the silicon would emit or surfaces a typed [`FaultEvent`].
 //!
 //! Detector tap points (which faults each detector can see):
 //!
@@ -23,11 +24,9 @@
 //! wire), so low-bit bias faults propagate silently — the campaign
 //! quantifies exactly that undetected-error tail.
 
-use nacu_fixed::{Fx, Overflow, QFormat, Rounding};
-
-use nacu::bias;
-use nacu::divider;
+use nacu::datapath::{MacSources, Nets};
 use nacu::{Function, Nacu, NacuConfig, NacuError};
+use nacu_fixed::Fx;
 
 use crate::detect::{
     entry_parity, residue3, residue_add, residue_mul, residue_pow2, DetectorSet, FaultEvent,
@@ -40,7 +39,8 @@ use crate::model::{FaultPlan, InjectionSite};
 /// saturation segment's minimax bias quantises to exactly 1.0 and the
 /// (tiny, positive) slope term then rounds one LSB above it. Measured
 /// worst case across the 10–21-bit sweep is 1 LSB; anything beyond is a
-/// fault (`tests/bit_identity.rs` pins the no-false-positive property).
+/// fault (the root `tests/bit_identity.rs` pins the no-false-positive
+/// property).
 pub const SIGMA_RANGE_SLACK_LSB: i64 = 1;
 
 /// Raw LSBs σ may *decrease* across consecutive segment boundaries before
@@ -83,17 +83,94 @@ impl From<NacuError> for CheckedError {
     }
 }
 
-/// A NACU unit with fault injectors armed on its nets and error detectors
-/// shadowing its datapath.
+/// The checked unit's nets: fault taps and detectors on the walk's wires.
 #[derive(Debug, Clone)]
-pub struct CheckedNacu {
-    golden: Nacu,
+struct FaultNets {
+    /// Datapath word width every tap masks to.
+    bits: u32,
     /// Stored coefficient words after permanent ROM faults are baked in.
     rom: Vec<(i64, i64)>,
     /// Per-entry parity computed from the *golden* ROM at table build.
     parity: Vec<u8>,
     plan: FaultPlan,
     detectors: DetectorSet,
+}
+
+impl FaultNets {
+    /// One event on a datapath-wide net, through the plan.
+    fn tap(&self, site: InjectionSite, entry: Option<usize>, raw: i64) -> i64 {
+        self.plan.tap(site, entry, raw, self.bits)
+    }
+}
+
+impl Nets for FaultNets {
+    type Event = FaultEvent;
+
+    /// Reads the (possibly corrupted) stored words, applies transient
+    /// read upsets, then re-checks the entry parity stored at table
+    /// build.
+    fn lut(&self, index: usize, _golden: (i64, i64)) -> Result<(i64, i64), FaultEvent> {
+        let (slope, q) = self.rom[index];
+        let slope = self.tap(InjectionSite::LutSlope, Some(index), slope);
+        let q = self.tap(InjectionSite::LutBias, Some(index), q);
+        if self.detectors.lut_parity && entry_parity(slope, q, self.bits) != self.parity[index] {
+            return Err(FaultEvent::LutParity { entry: index });
+        }
+        Ok((slope, q))
+    }
+
+    fn bias_out(&self, bias: i64) -> Result<i64, FaultEvent> {
+        Ok(self.tap(InjectionSite::BiasOut, None, bias))
+    }
+
+    fn mac_a(&self, slope: i64) -> Result<i64, FaultEvent> {
+        Ok(self.tap(InjectionSite::MacOperandA, None, slope))
+    }
+
+    fn mac_b(&self, mag: i64) -> Result<i64, FaultEvent> {
+        Ok(self.tap(InjectionSite::MacOperandB, None, mag))
+    }
+
+    /// The accumulator fault, then the mod-3 shadow. The shadow taps the
+    /// source nets *before* the MAC's operand latches, where the
+    /// `MacOperandA/B` faults live; the bias is the Fig. 3 output port,
+    /// which the shadow shares with the MAC.
+    fn accumulator(&self, sum: i128, src: &MacSources) -> Result<i128, FaultEvent> {
+        let sum = self
+            .plan
+            .tap_wide(InjectionSite::MacAccumulator, sum, 2 * self.bits + 2);
+        if self.detectors.mac_residue {
+            let expected = residue_add(
+                residue_mul(residue3(src.slope as i128), residue3(src.mag as i128)),
+                residue_mul(residue3(src.bias as i128), residue_pow2(src.bias_shift)),
+            );
+            let got = residue3(sum);
+            if expected != got {
+                return Err(FaultEvent::MacResidue { expected, got });
+            }
+        }
+        Ok(sum)
+    }
+
+    /// The output register fault, then the range sentinel.
+    fn sigma_out(&self, raw: i64, out_frac: u32) -> Result<i64, FaultEvent> {
+        let raw = self.tap(InjectionSite::SigmaOut, None, raw);
+        if self.detectors.sigma_sentinel {
+            let one = 1_i64 << out_frac;
+            if raw < -SIGMA_RANGE_SLACK_LSB || raw > one + SIGMA_RANGE_SLACK_LSB {
+                return Err(FaultEvent::SigmaRange { raw, one });
+            }
+        }
+        Ok(raw)
+    }
+}
+
+/// A NACU unit with fault injectors armed on its nets and error detectors
+/// shadowing its datapath.
+#[derive(Debug, Clone)]
+pub struct CheckedNacu {
+    golden: Nacu,
+    nets: FaultNets,
 }
 
 impl CheckedNacu {
@@ -109,10 +186,13 @@ impl CheckedNacu {
         let parity = rom.iter().map(|&(s, q)| entry_parity(s, q, bits)).collect();
         Ok(Self {
             golden,
-            rom,
-            parity,
-            plan: FaultPlan::new(),
-            detectors: DetectorSet::all(),
+            nets: FaultNets {
+                bits,
+                rom,
+                parity,
+                plan: FaultPlan::new(),
+                detectors: DetectorSet::all(),
+            },
         })
     }
 
@@ -123,9 +203,9 @@ impl CheckedNacu {
     /// address decoder cannot reach them).
     #[must_use]
     pub fn with_plan(mut self, plan: FaultPlan) -> Self {
-        let bits = self.golden.config().format.total_bits();
+        let bits = self.nets.bits;
         for fault in plan.permanent_lut_faults() {
-            let Some(entry) = fault.entry.and_then(|e| self.rom.get_mut(e)) else {
+            let Some(entry) = fault.entry.and_then(|e| self.nets.rom.get_mut(e)) else {
                 continue;
             };
             let word = match fault.site {
@@ -134,14 +214,14 @@ impl CheckedNacu {
             };
             *word = fault.corrupt_word(*word, bits);
         }
-        self.plan = plan;
+        self.nets.plan = plan;
         self
     }
 
     /// Replaces the armed detector set.
     #[must_use]
     pub fn with_detectors(mut self, detectors: DetectorSet) -> Self {
-        self.detectors = detectors;
+        self.nets.detectors = detectors;
         self
     }
 
@@ -160,91 +240,13 @@ impl CheckedNacu {
     /// The armed fault plan.
     #[must_use]
     pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+        &self.nets.plan
     }
 
     /// The armed detectors.
     #[must_use]
     pub fn detectors(&self) -> DetectorSet {
-        self.detectors
-    }
-
-    /// Coefficient lookup through the checked path: reads the (possibly
-    /// corrupted) stored words, applies transient read upsets, then
-    /// re-checks the entry parity stored at table build.
-    fn lookup(&self, mag_raw: i64) -> Result<(i64, i64), FaultEvent> {
-        let idx = self.golden.lookup_index(mag_raw);
-        let bits = self.config().format.total_bits();
-        let (mut slope, mut q) = self.rom[idx];
-        slope = self
-            .plan
-            .tap(InjectionSite::LutSlope, Some(idx), slope, bits);
-        q = self.plan.tap(InjectionSite::LutBias, Some(idx), q, bits);
-        if self.detectors.lut_parity && entry_parity(slope, q, bits) != self.parity[idx] {
-            return Err(FaultEvent::LutParity { entry: idx });
-        }
-        Ok((slope, q))
-    }
-
-    /// The widened MAC with operand/accumulator injection and the mod-3
-    /// shadow. `slope`/`mag` are the values on the source nets (the
-    /// shadow taps them *before* the MAC's operand latches, where the
-    /// `MacOperandA/B` faults live); `bias` is the Fig. 3 output port,
-    /// which the shadow shares with the MAC.
-    fn mac(&self, slope: i64, mag: i64, bias: i64, out_frac: u32) -> Result<i64, FaultEvent> {
-        let fmt = self.config().format;
-        let n = fmt.total_bits();
-        let coef_f = self.golden.coef_format().frac_bits();
-        let internal_f = coef_f + fmt.frac_bits();
-        let bias_shift = internal_f - self.golden.bias_format().frac_bits();
-
-        let a = self.plan.tap(InjectionSite::MacOperandA, None, slope, n);
-        let b = self.plan.tap(InjectionSite::MacOperandB, None, mag, n);
-        let sum = a as i128 * b as i128 + ((bias as i128) << bias_shift);
-        let sum = self
-            .plan
-            .tap_wide(InjectionSite::MacAccumulator, sum, 2 * n + 2);
-
-        if self.detectors.mac_residue {
-            let expected = residue_add(
-                residue_mul(residue3(slope as i128), residue3(mag as i128)),
-                residue_mul(residue3(bias as i128), residue_pow2(bias_shift)),
-            );
-            let got = residue3(sum);
-            if expected != got {
-                return Err(FaultEvent::MacResidue { expected, got });
-            }
-        }
-        Ok(Rounding::Nearest.shift_right(sum, internal_f - out_frac) as i64)
-    }
-
-    /// σ in raw codes at `out_frac` fractional bits, through the checked
-    /// path: lookup (parity), Fig. 3a bias derivation, MAC (residue),
-    /// output register injection, range sentinel.
-    fn sigma_word(&self, x: Fx, out_frac: u32) -> Result<i64, FaultEvent> {
-        let fmt = self.config().format;
-        let mag = self.golden.magnitude_raw(x);
-        let (slope, q) = self.lookup(mag)?;
-        let f = self.golden.bias_format().frac_bits();
-        let (slope, bias) = if x.raw() >= 0 {
-            (slope, q)
-        } else {
-            (-slope, bias::one_minus_q(q, f))
-        };
-        let bias = self
-            .plan
-            .tap(InjectionSite::BiasOut, None, bias, fmt.total_bits());
-        let raw = self.mac(slope, mag, bias, out_frac)?;
-        let raw = self
-            .plan
-            .tap(InjectionSite::SigmaOut, None, raw, fmt.total_bits());
-        if self.detectors.sigma_sentinel {
-            let one = 1_i64 << out_frac;
-            if raw < -SIGMA_RANGE_SLACK_LSB || raw > one + SIGMA_RANGE_SLACK_LSB {
-                return Err(FaultEvent::SigmaRange { raw, one });
-            }
-        }
-        Ok(raw)
+        self.nets.detectors
     }
 
     /// Checked σ(x).
@@ -253,10 +255,7 @@ impl CheckedNacu {
     ///
     /// A [`FaultEvent`] if any armed detector fires.
     pub fn sigmoid(&self, x: Fx) -> Result<Fx, FaultEvent> {
-        self.assert_format(x);
-        let fmt = self.config().format;
-        let raw = self.sigma_word(x, fmt.frac_bits())?;
-        Ok(Fx::from_raw_saturating(fmt.saturate_raw(raw as i128), fmt))
+        self.compute(Function::Sigmoid, x)
     }
 
     /// Checked tanh(x) (Eq. 3's stretched σ address plus the Fig. 3b/3c
@@ -266,23 +265,7 @@ impl CheckedNacu {
     ///
     /// A [`FaultEvent`] if any armed detector fires.
     pub fn tanh(&self, x: Fx) -> Result<Fx, FaultEvent> {
-        self.assert_format(x);
-        let fmt = self.config().format;
-        let mag = self.golden.magnitude_raw(x);
-        let address = (2 * mag).min(fmt.max_raw());
-        let (slope, q) = self.lookup(address)?;
-        let slope4 = self.golden.coef_format().saturate_raw((slope as i128) << 2);
-        let f = self.golden.bias_format().frac_bits();
-        let (slope, bias) = if x.raw() >= 0 {
-            (slope4, bias::two_q_minus_one(q, f))
-        } else {
-            (-slope4, bias::one_minus_two_q(q, f))
-        };
-        let bias = self
-            .plan
-            .tap(InjectionSite::BiasOut, None, bias, fmt.total_bits());
-        let raw = self.mac(slope, mag, bias, fmt.frac_bits())?;
-        Ok(Fx::from_raw_saturating(fmt.saturate_raw(raw as i128), fmt))
+        self.compute(Function::Tanh, x)
     }
 
     /// Checked e^x for non-positive x (Eq. 14: σ, reciprocal, decrement).
@@ -291,72 +274,19 @@ impl CheckedNacu {
     ///
     /// A [`FaultEvent`] if any armed detector fires.
     pub fn exp(&self, x: Fx) -> Result<Fx, FaultEvent> {
-        self.assert_format(x);
-        let fmt = self.config().format;
-        let clamped = if x.raw() > 0 { Fx::zero(x.format()) } else { x };
-        let work_fmt = self.golden.work_format();
-        let wf = work_fmt.frac_bits();
-        let neg = Fx::from_raw_saturating(-clamped.raw(), fmt);
-        let sigma_raw = work_fmt.saturate_raw(self.sigma_word(neg, wf)? as i128);
-        let one = 1_i64 << wf;
-        let sigma_raw = sigma_raw.clamp(one / 2, one);
-        let sigma = Fx::from_raw_saturating(sigma_raw, work_fmt);
-        let sigma_prime = divider::reciprocal(sigma).expect("clamped σ ≥ 0.5 is non-zero");
-        let sp = sigma_prime.raw().clamp(one, 2 * one);
-        let e_raw = bias::decrement_unit(sp, wf);
-        Ok(Fx::from_raw_saturating(e_raw, work_fmt).resize(
-            fmt,
-            Rounding::Nearest,
-            Overflow::Saturate,
-        ))
+        self.compute(Function::Exp, x)
     }
 
-    /// Checked max-normalised softmax (Eq. 13), replicating the core
-    /// two-pass schedule with every exp running through the checked path.
+    /// Checked max-normalised softmax (Eq. 13): the datapath's two-pass
+    /// schedule with every exp running through the checked walk.
     ///
     /// # Errors
     ///
     /// [`CheckedError::Fault`] if a detector fires,
     /// [`CheckedError::Nacu`] for an empty or mixed-format vector.
     pub fn softmax(&self, inputs: &[Fx]) -> Result<Vec<Fx>, CheckedError> {
-        let fmt = self.config().format;
-        if inputs.is_empty() {
-            return Err(NacuError::EmptyVector.into());
-        }
-        for x in inputs {
-            if x.format() != fmt {
-                return Err(CheckedError::Nacu(NacuError::Fixed(
-                    nacu_fixed::FxError::FormatMismatch {
-                        lhs: x.format(),
-                        rhs: fmt,
-                    },
-                )));
-            }
-        }
-        let max_raw = inputs.iter().map(Fx::raw).max().expect("non-empty");
-        let max = Fx::from_raw_saturating(max_raw, fmt);
-        let work_fmt = self.golden.work_format();
-        let wf = work_fmt.frac_bits();
-        let acc_fmt = QFormat::new(fmt.int_bits() + 7, wf).expect("acc format");
-        let mut denom = Fx::zero(acc_fmt);
-        let mut exps = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            let diff = x.saturating_sub(max).map_err(NacuError::Fixed)?;
-            let e = self.exp(diff)?;
-            let e_work = e.resize(work_fmt, Rounding::Nearest, Overflow::Saturate);
-            exps.push(e_work);
-            denom = denom
-                .saturating_add(e_work.resize(acc_fmt, Rounding::Nearest, Overflow::Saturate))
-                .map_err(NacuError::Fixed)?;
-        }
-        let mut out = Vec::with_capacity(inputs.len());
-        for e in exps {
-            let q = divider::restoring_divide(e.raw(), denom.raw(), wf)
-                .map_err(|e| CheckedError::Nacu(NacuError::Fixed(e)))?;
-            let q_work = Fx::from_raw_saturating(work_fmt.saturate_raw(q as i128), work_fmt);
-            out.push(q_work.resize(fmt, Rounding::Nearest, Overflow::Saturate));
-        }
-        Ok(out)
+        self.golden
+            .softmax_with(inputs, |x| self.exp(x).map_err(CheckedError::Fault))
     }
 
     /// Single-input dispatch mirroring [`Nacu::compute`].
@@ -370,12 +300,7 @@ impl CheckedNacu {
     /// Panics for [`Function::Softmax`]/[`Function::Mac`], exactly like
     /// the unchecked dispatch.
     pub fn compute(&self, function: Function, x: Fx) -> Result<Fx, FaultEvent> {
-        match function {
-            Function::Sigmoid => self.sigmoid(x),
-            Function::Tanh => self.tanh(x),
-            Function::Exp => self.exp(x),
-            _ => panic!("{function} needs the vector/accumulator interface"),
-        }
+        self.golden.compute_with(&self.nets, function, x)
     }
 
     /// BIST-style scrub: walks σ across every PWL segment boundary (plus
@@ -392,15 +317,15 @@ impl CheckedNacu {
     /// The first [`FaultEvent`] the walk encounters.
     pub fn scrub(&self) -> Result<(), FaultEvent> {
         let fmt = self.config().format;
-        let out_frac = fmt.frac_bits();
         let bounds = self.golden.segment_bounds();
-        let mut ladder: Vec<i64> = bounds[..bounds.len() - 1].to_vec();
-        ladder.push(fmt.max_raw());
+        let ladder = bounds[..bounds.len() - 1].iter().copied();
         let mut prev: Option<i64> = None;
-        for (boundary, &address) in ladder.iter().enumerate() {
+        for (boundary, address) in ladder.chain([fmt.max_raw()]).enumerate() {
             let x = Fx::from_raw_saturating(address.min(fmt.max_raw()), fmt);
-            let raw = self.sigma_word(x, out_frac)?;
-            if self.detectors.sigma_sentinel {
+            // The sentinel has bounded the word to [0, 1] ± slack, so the
+            // output saturation leaves it as the σ register held it.
+            let raw = self.sigmoid(x)?.raw();
+            if self.nets.detectors.sigma_sentinel {
                 if let Some(prev_raw) = prev {
                     if raw + SIGMA_MONOTONICITY_SLACK_LSB < prev_raw {
                         return Err(FaultEvent::SigmaMonotonicity {
@@ -415,22 +340,13 @@ impl CheckedNacu {
         }
         Ok(())
     }
-
-    fn assert_format(&self, x: Fx) {
-        assert_eq!(
-            x.format(),
-            self.config().format,
-            "input format {} does not match the configured {}",
-            x.format(),
-            self.config().format
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{Fault, FaultKind};
+    use nacu_fixed::Rounding;
 
     fn checked() -> CheckedNacu {
         CheckedNacu::new(NacuConfig::paper_16bit()).expect("paper config")
@@ -507,7 +423,7 @@ mod tests {
         // Stuck-at faults whose forced value equals the stored bit change
         // nothing: parity agrees and the output is golden.
         let c0 = checked();
-        let (slope0, _q0) = (c0.rom[3].0, c0.rom[3].1);
+        let slope0 = c0.nets.rom[3].0;
         let bit = 2;
         let stored = (slope0 >> bit) & 1;
         let fault = Fault::stuck_lut(InjectionSite::LutSlope, 3, bit, stored == 1);
@@ -669,6 +585,40 @@ mod tests {
             }
         }
         assert_eq!(events, 1, "a single-event upset fires parity exactly once");
+    }
+
+    #[test]
+    fn fault_corrupts_all_derived_branches_symmetrically() {
+        // One ROM word feeds σ(+), σ(−), tanh(+), tanh(−): Eqs. 4–5's
+        // structural symmetry must hold even on a faulted unit. The fault
+        // flips slope bit 9 of entry 5 (a stuck-at at the complement of
+        // the stored bit), with no detector armed to stop it.
+        let clean = checked();
+        let stored = (clean.golden().coefficients()[5].0 >> 9) & 1 == 1;
+        let fault = Fault::stuck_lut(InjectionSite::LutSlope, 5, 9, !stored);
+        let faulted = clean
+            .with_plan(FaultPlan::single(fault))
+            .with_detectors(DetectorSet::none());
+        let fmt = faulted.config().format;
+        let one = 1_i64 << fmt.frac_bits();
+        let at = |raw| Fx::from_raw(raw, fmt).unwrap();
+        let mut changed = false;
+        for raw in (1..fmt.max_raw()).step_by(501) {
+            let pos = faulted.sigmoid(at(raw)).unwrap();
+            let neg = faulted.sigmoid(at(-raw)).unwrap().raw();
+            assert!(
+                (pos.raw() + neg - one).abs() <= 1,
+                "faulted unit keeps σ(x)+σ(−x)=1 at raw {raw}"
+            );
+            let tanh_pos = faulted.tanh(at(raw)).unwrap().raw();
+            let tanh_neg = faulted.tanh(at(-raw)).unwrap().raw();
+            assert!(
+                (tanh_pos + tanh_neg).abs() <= 1,
+                "faulted unit keeps tanh(−x) = −tanh(x) at raw {raw}"
+            );
+            changed |= pos != faulted.golden().sigmoid(at(raw));
+        }
+        assert!(changed, "the flipped bit must reach the sampled outputs");
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl Fault {
     /// [`FaultPlan::tap`] so transients can count events.
     #[must_use]
     pub fn corrupt_word(&self, raw: i64, bits: u32) -> i64 {
-        apply_mask(raw, bits, self.bit, self.kind)
+        apply_mask(raw.into(), bits.min(63), self.bit, self.kind) as i64
     }
 }
 
@@ -218,21 +218,22 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Masks `raw` down to `bits`, applies the bit operation, sign-extends
-/// back — exactly how a stuck/flipped wire corrupts a stored word.
+/// Masks `raw` down to `bits` (at most 126), applies the bit operation,
+/// sign-extends back — exactly how a stuck/flipped wire corrupts a
+/// stored word.
 #[must_use]
-fn apply_mask(raw: i64, bits: u32, bit: u32, kind: FaultKind) -> i64 {
-    let bits = bits.min(63);
+fn apply_mask(raw: i128, bits: u32, bit: u32, kind: FaultKind) -> i128 {
+    let bits = bits.min(126);
     let bit = bit.min(bits.saturating_sub(1));
-    let mask = (1_i64 << bits) - 1;
+    let mask = (1_i128 << bits) - 1;
     let mut pattern = raw & mask;
     pattern = match kind {
-        FaultKind::StuckAt0 => pattern & !(1_i64 << bit),
-        FaultKind::StuckAt1 => pattern | (1_i64 << bit),
-        FaultKind::Transient => pattern ^ (1_i64 << bit),
+        FaultKind::StuckAt0 => pattern & !(1_i128 << bit),
+        FaultKind::StuckAt1 => pattern | (1_i128 << bit),
+        FaultKind::Transient => pattern ^ (1_i128 << bit),
     };
-    if pattern & (1_i64 << (bits - 1)) != 0 {
-        pattern - (1_i64 << bits)
+    if pattern & (1_i128 << (bits - 1)) != 0 {
+        pattern - (1_i128 << bits)
     } else {
         pattern
     }
@@ -256,19 +257,13 @@ impl Injector {
         }
     }
 
-    /// Applies the fault to one event's value. Stuck-ats corrupt every
-    /// event; a transient corrupts only its struck event.
-    fn tap(&self, raw: i64, bits: u32) -> i64 {
+    /// Counts one event at the site and says whether the fault corrupts
+    /// it: stuck-ats corrupt every event, a transient only its struck
+    /// one.
+    fn strikes(&self) -> bool {
         match self.fault.kind {
-            FaultKind::StuckAt0 | FaultKind::StuckAt1 => self.fault.corrupt_word(raw, bits),
-            FaultKind::Transient => {
-                let event = self.events.fetch_add(1, Ordering::Relaxed);
-                if event == self.strike {
-                    self.fault.corrupt_word(raw, bits)
-                } else {
-                    raw
-                }
-            }
+            FaultKind::StuckAt0 | FaultKind::StuckAt1 => true,
+            FaultKind::Transient => self.events.fetch_add(1, Ordering::Relaxed) == self.strike,
         }
     }
 }
@@ -362,8 +357,8 @@ impl FaultPlan {
             let f = &injector.fault;
             let matches_site = f.site == site
                 && (!site.is_lut() || matches!(f.kind, FaultKind::Transient) && f.entry == entry);
-            if matches_site {
-                value = injector.tap(value, bits);
+            if matches_site && injector.strikes() {
+                value = f.corrupt_word(value, bits);
             }
         }
         value
@@ -374,37 +369,12 @@ impl FaultPlan {
     pub(crate) fn tap_wide(&self, site: InjectionSite, raw: i128, bits: u32) -> i128 {
         let mut value = raw;
         for injector in &self.injectors {
-            if injector.fault.site == site {
-                value = tap_wide_one(injector, value, bits);
+            let f = &injector.fault;
+            if f.site == site && injector.strikes() {
+                value = apply_mask(value, bits, f.bit, f.kind);
             }
         }
         value
-    }
-}
-
-/// `Injector::tap` over an `i128` word (the accumulator is wider than 64
-/// bits never in practice, but the pre-round sum is carried as `i128`).
-fn tap_wide_one(injector: &Injector, raw: i128, bits: u32) -> i128 {
-    let bits = bits.min(126);
-    let bit = injector.fault.bit.min(bits.saturating_sub(1));
-    let strike_now = match injector.fault.kind {
-        FaultKind::StuckAt0 | FaultKind::StuckAt1 => true,
-        FaultKind::Transient => injector.events.fetch_add(1, Ordering::Relaxed) == injector.strike,
-    };
-    if !strike_now {
-        return raw;
-    }
-    let mask = (1_i128 << bits) - 1;
-    let mut pattern = raw & mask;
-    pattern = match injector.fault.kind {
-        FaultKind::StuckAt0 => pattern & !(1_i128 << bit),
-        FaultKind::StuckAt1 => pattern | (1_i128 << bit),
-        FaultKind::Transient => pattern ^ (1_i128 << bit),
-    };
-    if pattern & (1_i128 << (bits - 1)) != 0 {
-        pattern - (1_i128 << bits)
-    } else {
-        pattern
     }
 }
 
@@ -416,7 +386,7 @@ mod tests {
     fn stuck_at_masks_are_idempotent() {
         for kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
             for bit in 0..16 {
-                for raw in [-32768_i64, -1, 0, 1, 12345, 32767] {
+                for raw in [-32768_i128, -1, 0, 1, 12345, 32767] {
                     let once = apply_mask(raw, 16, bit, kind);
                     let twice = apply_mask(once, 16, bit, kind);
                     assert_eq!(once, twice, "{kind} bit {bit} raw {raw}");
@@ -428,7 +398,7 @@ mod tests {
     #[test]
     fn flip_is_an_involution_and_preserves_sign_extension() {
         for bit in 0..16 {
-            for raw in [-32768_i64, -1, 0, 1, 12345, 32767] {
+            for raw in [-32768_i128, -1, 0, 1, 12345, 32767] {
                 let once = apply_mask(raw, 16, bit, FaultKind::Transient);
                 assert_ne!(once, raw, "bit {bit} must change raw {raw}");
                 assert_eq!(apply_mask(once, 16, bit, FaultKind::Transient), raw);

@@ -102,10 +102,17 @@ fn prometheus_counter_family(
 /// measured time with (the paper's 3.75 ns clock for a hardware
 /// comparison, or a host clock for profiling). `counters` are extra flat
 /// series appended verbatim — the engine passes its `EngineMetrics`
-/// snapshot through here. By the Prometheus naming rule a `_total` name
-/// is typed `counter` and any other (a high-water mark) `gauge`.
+/// snapshot through here — and `help` gives their `# HELP` text by name
+/// (a series without an entry gets none). By the Prometheus naming rule
+/// a `_total` name is typed `counter` and any other (a high-water mark)
+/// `gauge`.
 #[must_use]
-pub fn prometheus(snap: &ObsSnapshot, clock_hz: f64, counters: &[(&str, u64)]) -> String {
+pub fn prometheus(
+    snap: &ObsSnapshot,
+    clock_hz: f64,
+    counters: &[(&str, u64)],
+    help: &[(&str, &str)],
+) -> String {
     let mut out = String::new();
 
     for stage in Stage::ALL {
@@ -190,6 +197,9 @@ pub fn prometheus(snap: &ObsSnapshot, clock_hz: f64, counters: &[(&str, u64)]) -
     prometheus_health(&mut out, &snap.health);
 
     for (name, value) in counters {
+        if let Some((_, text)) = help.iter().find(|(n, _)| n == name) {
+            out.push_str(&format!("# HELP {name} {text}\n"));
+        }
         let kind = if name.ends_with("_total") {
             "counter"
         } else {
@@ -645,7 +655,12 @@ mod tests {
 
     #[test]
     fn prometheus_emits_cumulative_buckets_and_counters() {
-        let text = prometheus(&populated(), 1e9, &[("requests_submitted", 2)]);
+        let text = prometheus(
+            &populated(),
+            1e9,
+            &[("requests_submitted", 2)],
+            &[("requests_submitted", "Requests accepted.")],
+        );
         assert!(text.contains("# TYPE nacu_obs_queue_wait_ns histogram"));
         assert!(text.contains("nacu_obs_queue_wait_ns_count{function=\"sigmoid\"} 2"));
         assert!(text.contains("nacu_obs_queue_wait_ns_sum{function=\"sigmoid\"} 300"));
@@ -653,7 +668,9 @@ mod tests {
         assert!(text.contains("nacu_obs_ops_total{function=\"sigmoid\"} 2"));
         assert!(text.contains("nacu_obs_modeled_cycles_total{function=\"sigmoid\"} 4"));
         assert!(text.contains("nacu_obs_trace_recorded_total 1"));
-        assert!(text.contains("requests_submitted 2"));
+        assert!(text.contains(
+            "# HELP requests_submitted Requests accepted.\n# TYPE requests_submitted gauge\nrequests_submitted 2\n"
+        ));
         // Empty functions emit no histogram series.
         assert!(!text.contains("nacu_obs_queue_wait_ns_count{function=\"tanh\"}"));
         // Health families are always present (disabled monitor here).
@@ -669,7 +686,7 @@ mod tests {
             1,
         ));
         let _ = obs.health().observe(Function::Sigmoid, 0.5, 0.9); // drifts
-        let text = prometheus(&obs.snapshot(), 1e9, &[]);
+        let text = prometheus(&obs.snapshot(), 1e9, &[], &[]);
         assert!(text.contains("nacu_obs_health_samples_total{function=\"sigmoid\"} 1"));
         assert!(text.contains("nacu_obs_drift_alarms_total{function=\"sigmoid\"} 1"));
         assert!(text.contains("nacu_obs_drift_alarm_latched 1"));

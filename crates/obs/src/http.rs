@@ -67,6 +67,11 @@ pub trait ScrapeSource: Send + Sync + 'static {
     /// Flat counters appended to both wire formats (the engine passes
     /// its `EngineMetrics` through here).
     fn counters(&self) -> Vec<(&'static str, u64)>;
+    /// `# HELP` text for the flat counters, by name; a counter without
+    /// an entry is exported without one.
+    fn counter_help(&self) -> Vec<(&'static str, &'static str)> {
+        Vec::new()
+    }
     /// Worker in-service census for `/health`.
     fn workers(&self) -> WorkerCensus;
     /// The host's telemetry plane, when sampling is enabled. With a
@@ -218,7 +223,8 @@ fn handle(mut stream: TcpStream, source: &dyn ScrapeSource) -> io::Result<()> {
         "/metrics" => {
             let obs = source.obs();
             let counters = source.counters();
-            let mut body = export::prometheus(&obs.snapshot(), source.clock_hz(), &counters);
+            let help = source.counter_help();
+            let mut body = export::prometheus(&obs.snapshot(), source.clock_hz(), &counters, &help);
             if let Some(tele) = source.telemetry() {
                 body.push_str(&export::prometheus_telemetry(
                     &telemetry_windows(&tele),

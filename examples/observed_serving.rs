@@ -180,7 +180,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!("prometheus exposition head:");
-    let prom = export::prometheus(&snap, PAPER_CLOCK_HZ, &[]);
+    let prom = export::prometheus(&snap, PAPER_CLOCK_HZ, &[], &[]);
     for line in prom.lines().take(12) {
         println!("  {line}");
     }

@@ -11,6 +11,7 @@
 //! events, no threads, no sockets).
 
 use nacu::Function;
+use nacu_engine::MetricsSnapshot;
 use nacu_obs::export::{json_v2, prometheus, prometheus_telemetry, JSON_SCHEMA_V2};
 use nacu_obs::{Obs, Stage, TraceKind};
 
@@ -172,14 +173,19 @@ nacu_obs_drift_alarms_total{function="exp"} 0
 # HELP nacu_obs_drift_alarm_latched 1 once any drift alarm has fired.
 # TYPE nacu_obs_drift_alarm_latched gauge
 nacu_obs_drift_alarm_latched 0
+# HELP nacu_engine_requests_submitted_total Requests accepted into the queue.
 # TYPE nacu_engine_requests_submitted_total counter
 nacu_engine_requests_submitted_total 3
+# HELP nacu_engine_requests_completed_total Requests answered with a response.
 # TYPE nacu_engine_requests_completed_total counter
 nacu_engine_requests_completed_total 3
+# HELP nacu_engine_queue_depth_high_water Deepest the submission queue has ever been.
 # TYPE nacu_engine_queue_depth_high_water gauge
 nacu_engine_queue_depth_high_water 2
 "#;
-    let actual = prometheus(&fixed_snapshot(), CLOCK_HZ, COUNTERS);
+    // The help text is the engine's own, from its counter table.
+    let help = MetricsSnapshot::exporter_help();
+    let actual = prometheus(&fixed_snapshot(), CLOCK_HZ, COUNTERS, &help);
     assert_eq!(
         actual, expected,
         "Prometheus exposition drifted — if intentional, update this snapshot"

@@ -41,6 +41,20 @@ fn campaign_meets_the_lut_coverage_gate() {
     assert!(parity_hits > 0, "the gate must not pass vacuously");
 }
 
+/// The fault model's observable output is pinned: the smoke campaign's
+/// JSON record is deterministic (no timing fields) and must match the
+/// committed `ci/CAMPAIGN_smoke.json` byte for byte. Regenerate it with
+/// `fault_campaign --smoke --out ci/CAMPAIGN_smoke.json` only for a
+/// deliberate change to an injection site, a detector or the workload.
+#[test]
+fn smoke_campaign_json_matches_the_committed_golden() {
+    let json = fault_campaign::to_json(&fault_campaign::run(&CampaignConfig::smoke()));
+    assert!(
+        json == include_str!("../ci/CAMPAIGN_smoke.json"),
+        "the smoke campaign drifted from ci/CAMPAIGN_smoke.json"
+    );
+}
+
 /// The second half of the criterion: every injected-and-undetected fault
 /// is quantified — each silent trial carries real error statistics.
 #[test]
