@@ -31,7 +31,7 @@ pub struct BasterretxeaCri {
 }
 
 impl BasterretxeaCri {
-    /// Builds the depth-[`DEPTH`] recursive interpolation.
+    /// Builds the depth-4 recursive interpolation.
     #[must_use]
     pub fn new() -> Self {
         Self::with_depth(DEPTH)

@@ -36,10 +36,17 @@
 //! freshly committed floor only re-trips on a genuine >= 12.5% ratio
 //! improvement, not on run-to-run noise.
 //!
-//! `--fastpath-only` runs just the fast-path comparison and the
-//! memcpy/gather ceiling measurements (skipping the engine, queue, net,
-//! replay and fault-campaign phases and their gates) — the quick way to
-//! re-measure the fast-path floor without paying for the full suite.
+//! `--fastpath-only` runs just the fast-path comparison, the kernel
+//! timings and the memcpy/gather ceiling measurements (skipping the
+//! engine, queue, net, replay and fault-campaign phases and their gates)
+//! — the quick way to re-measure the fast-path floor without paying for
+//! the full suite.
+//!
+//! Every run also records, ungated,
+//! `{sigmoid,tanh,exp,softmax}_kernel_ns_per_op` (the serving kernel per
+//! operand at Q4.11, best of the fast-path trial count) and
+//! `kernel_vs_walk_ratio` (the golden walk's summed ns per operand over
+//! the kernel's, measured in the same run).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -393,6 +400,29 @@ fn run_benches(
             &format!("{:.1}", fast_row.datapath_ops_per_sec),
         );
     }
+
+    // The serving kernel against the golden walk, per operand, at Q4.11
+    // (ungated). The ratio normalises itself: both sides share the host.
+    let mut kernel_total = 0.0;
+    let mut walk_total = 0.0;
+    for (function, name) in [
+        (Function::Sigmoid, "sigmoid"),
+        (Function::Tanh, "tanh"),
+        (Function::Exp, "exp"),
+        (Function::Softmax, "softmax"),
+    ] {
+        let (kernel_ns, walk_ns) = engine_bench::kernel_and_walk_ns_per_op(function, trials);
+        fields.push(
+            &format!("{name}_kernel_ns_per_op"),
+            &format!("{kernel_ns:.2}"),
+        );
+        kernel_total += kernel_ns;
+        walk_total += walk_ns;
+    }
+    fields.push(
+        "kernel_vs_walk_ratio",
+        &format!("{:.2}", walk_total / kernel_total),
+    );
 
     // Streaming ceilings for context next to the fast-path rows: raw
     // memcpy bandwidth and the bare table gather with no engine around

@@ -380,6 +380,60 @@ pub fn gather_ceiling_ops_per_sec(batch: usize, trials: usize) -> f64 {
     best
 }
 
+/// Nanoseconds per operand of the serving kernel and of the golden walk
+/// for `function` at the paper's Q4.11, each over every input code
+/// (softmax: the codes as 16-element vectors), best of `trials`:
+/// `(kernel_ns, walk_ns)`. Their ratio needs no committed baseline: both
+/// sides run on the same host in the same process.
+///
+/// # Panics
+///
+/// Panics if the paper configuration fails to validate (it never does).
+#[must_use]
+pub fn kernel_and_walk_ns_per_op(function: Function, trials: usize) -> (f64, f64) {
+    const VECTOR: usize = 16;
+    let nacu = nacu::Nacu::new(NacuConfig::paper_16bit()).expect("paper config");
+    let fmt = nacu.config().format;
+    let src: Vec<Fx> = fmt
+        .raw_codes()
+        .map(|raw| Fx::from_raw_saturating(raw, fmt))
+        .collect();
+    let mut xs = src.clone();
+    let best_ns_per_op = |pass: &mut dyn FnMut()| {
+        let mut best = f64::INFINITY;
+        for _ in 0..trials.max(1) {
+            let started = Instant::now();
+            pass();
+            best = best.min(started.elapsed().as_secs_f64() * 1e9 / src.len() as f64);
+        }
+        best
+    };
+    let kernel = best_ns_per_op(&mut || {
+        xs.copy_from_slice(&src);
+        if function == Function::Softmax {
+            for v in xs.chunks_mut(VECTOR) {
+                nacu.kernel_softmax(std::hint::black_box(v))
+                    .expect("valid vector");
+            }
+        } else {
+            nacu.kernel_in_place(function, std::hint::black_box(&mut xs));
+        }
+        std::hint::black_box(&xs);
+    });
+    let walk = best_ns_per_op(&mut || {
+        if function == Function::Softmax {
+            for v in src.chunks(VECTOR) {
+                std::hint::black_box(nacu.softmax(std::hint::black_box(v)).expect("valid"));
+            }
+        } else {
+            for &x in &src {
+                std::hint::black_box(nacu.compute(function, std::hint::black_box(x)));
+            }
+        }
+    });
+    (kernel, walk)
+}
+
 /// Raw submit-queue throughput: `producers` threads pushing keyed items
 /// through a [`nacu_engine::queue::BoundedQueue`] against `consumers`
 /// batch-popping threads, measured in items/s. This is the queue in
@@ -563,6 +617,15 @@ mod tests {
     fn gather_ceiling_measures_the_table_gather() {
         let rate = gather_ceiling_ops_per_sec(256, 1);
         assert!(rate > 0.0 && rate.is_finite());
+    }
+
+    #[test]
+    fn kernel_and_walk_timings_are_positive() {
+        for function in [Function::Exp, Function::Softmax] {
+            let (kernel, walk) = kernel_and_walk_ns_per_op(function, 1);
+            assert!(kernel > 0.0 && kernel.is_finite(), "{function}");
+            assert!(walk > 0.0 && walk.is_finite(), "{function}");
+        }
     }
 
     #[test]

@@ -396,12 +396,8 @@ impl Nacu {
     /// max-normalisation, the widened MAC accumulation and the pass-2
     /// restoring divider are this datapath's own either way.
     ///
-    /// Two stages plug in here: the serving engine's response-table fast
-    /// path ([`crate::table::ResponseTables`]), whose exp stage is an
-    /// exhaustively datapath-equal table — the working-format resize
-    /// after `exp_fn` is exact for any value in `[0, 1]`, the entire exp
-    /// range — and `nacu-faults`' checked unit, whose exp stage can raise
-    /// a detector event.
+    /// `nacu-faults`' checked unit plugs in here: its exp stage walks the
+    /// faulted nets and can raise a detector event.
     ///
     /// # Errors
     ///
@@ -475,6 +471,235 @@ impl Nacu {
             x.format(),
             self.config.format
         );
+    }
+}
+
+/// Widest format the kernel computes in `i64`: its MAC sum stays below
+/// `2^(2N−1)`. Wider formats take the walk.
+const KERNEL_MAX_BITS: u32 = 31;
+
+/// `value / 2^shift` for `shift > 0`, rounded to nearest with ties away
+/// from zero — [`Rounding::Nearest`] on an `i64`.
+#[inline]
+fn round_shift(value: i64, shift: u32) -> i64 {
+    (value + (1 << (shift - 1)) - i64::from(value < 0)) >> shift
+}
+
+/// The serving kernel: the same Fig. 2 arithmetic as the walk, on raw
+/// `i64` codes, with no nets, no `Fx` values and no bit-serial divider.
+///
+/// - The ROM address is the multiply-shift guess `a·entries/span` (the
+///   span is `2^(N−1)`), then compares against the segment bounds, which
+///   are exact for any ascending bounds, collapsed segments included.
+/// - The MAC is one `i64` multiply-add, rounded once.
+/// - The exp reciprocal is one `u64` divide, `floor(2^(2·wf)/σ)`, and
+///   softmax's pass 2 is one `u64` divide per element.
+///
+/// It answers exactly what [`Nacu::compute`] and [`Nacu::softmax`]
+/// answer, on every code (proven exhaustively in the root
+/// `tests/bit_identity.rs`). The walk stays the golden reference and the
+/// fault harness; the kernel is what a healthy serving worker runs.
+/// Formats wider than 31 bits, whose MAC would overflow `i64`, are
+/// evaluated by the walk.
+impl Nacu {
+    /// `function` at the raw input code `raw` of the configured format,
+    /// as a raw output code.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Function::Softmax`] / [`Function::Mac`], like
+    /// [`Nacu::compute`].
+    #[must_use]
+    #[inline]
+    pub fn kernel(&self, function: Function, raw: i64) -> i64 {
+        let fmt = self.config.format;
+        if fmt.total_bits() > KERNEL_MAX_BITS {
+            return self
+                .compute(function, Fx::from_raw_saturating(raw, fmt))
+                .raw();
+        }
+        match function {
+            Function::Sigmoid => self.sigmoid_raw(raw),
+            Function::Tanh => self.tanh_raw(raw),
+            Function::Exp => self.exp_raw(raw),
+            Function::Softmax | Function::Mac => {
+                panic!("{function} needs the vector/accumulator interface")
+            }
+        }
+    }
+
+    /// Rewrites every element of `xs` with `function`'s response from
+    /// [`Nacu::kernel`]. The operands must be in the configured format
+    /// (checked in debug builds only, as the serving engine validates
+    /// them at submit).
+    ///
+    /// # Panics
+    ///
+    /// As [`Nacu::kernel`].
+    pub fn kernel_in_place(&self, function: Function, xs: &mut [Fx]) {
+        /// One loop per function, so each inlines its kernel.
+        fn map(xs: &mut [Fx], fmt: QFormat, eval: impl Fn(i64) -> i64) {
+            for x in xs {
+                debug_assert_eq!(x.format(), fmt, "operand format");
+                *x = Fx::from_raw_saturating(eval(x.raw()), fmt);
+            }
+        }
+        let fmt = self.config.format;
+        if fmt.total_bits() > KERNEL_MAX_BITS {
+            return map(xs, fmt, |raw| self.kernel(function, raw));
+        }
+        match function {
+            Function::Sigmoid => map(xs, fmt, |raw| self.sigmoid_raw(raw)),
+            Function::Tanh => map(xs, fmt, |raw| self.tanh_raw(raw)),
+            Function::Exp => map(xs, fmt, |raw| self.exp_raw(raw)),
+            Function::Softmax | Function::Mac => {
+                panic!("{function} needs the vector/accumulator interface")
+            }
+        }
+    }
+
+    /// Eq. 13 softmax of `xs`, in place, with the walk's two passes: the
+    /// exp sum saturating at the accumulator format's maximum, then one
+    /// divide per element. Equals [`Nacu::softmax`] bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`Nacu::softmax`]; `xs` is left untouched by a validation error.
+    pub fn kernel_softmax(&self, xs: &mut [Fx]) -> Result<(), NacuError> {
+        let fmt = self.config.format;
+        if fmt.total_bits() > KERNEL_MAX_BITS || xs.iter().any(|x| x.format() != fmt) {
+            let out = self.softmax(xs)?;
+            xs.copy_from_slice(&out);
+            return Ok(());
+        }
+        let max = xs.iter().map(Fx::raw).max().ok_or(NacuError::EmptyVector)?;
+        let (f, wf) = (fmt.frac_bits(), self.bias_fmt.frac_bits());
+        let acc_max = QFormat::new(fmt.int_bits() + 7, wf)
+            .expect("acc format")
+            .max_raw();
+        // Pass 1: e^{x−max} in place (output format), the denominator in
+        // the accumulator at the working word's scale.
+        let mut denom: i64 = 0;
+        for x in xs.iter_mut() {
+            let e = self.exp_raw((x.raw() - max).max(fmt.min_raw()));
+            *x = Fx::from_raw_saturating(e, fmt);
+            denom = (denom + self.rescale(e, f, wf)).min(acc_max);
+        }
+        if denom == 0 {
+            return Err(NacuError::Fixed(nacu_fixed::FxError::DivideByZero));
+        }
+        // Pass 2: each exp over the common denominator. Every exp is at
+        // most 1.0 and a summand of `denom`, so the quotient is at most
+        // 1.0 and needs no saturation in the working word.
+        for x in xs.iter_mut() {
+            let q = ((self.rescale(x.raw(), f, wf) as u64) << wf) / denom as u64;
+            *x = Fx::from_raw_saturating(self.rescale(q as i64, wf, f), fmt);
+        }
+        Ok(())
+    }
+
+    /// The ROM entry for a non-negative address: the multiply-shift guess
+    /// (`bounds[n]` is the span, `2^(N−1)`), then the fix-up compares.
+    #[inline]
+    fn kernel_entry(&self, address: i64) -> (i64, i64) {
+        let n = self.entries.len();
+        let bounds = &self.bounds;
+        let shift = self.config.format.total_bits() - 1;
+        let mut i = (((address as u64 * n as u64) >> shift) as usize).min(n - 1);
+        while i > 0 && bounds[i] > address {
+            i -= 1;
+        }
+        while i + 1 < n && bounds[i + 1] <= address {
+            i += 1;
+        }
+        self.entries[i]
+    }
+
+    /// `slope·mag + bias`, rounded once into `out_frac` fractional bits.
+    #[inline]
+    fn kernel_mac(&self, slope: i64, mag: i64, bias: i64, out_frac: u32) -> i64 {
+        let f = self.config.format.frac_bits();
+        let internal_f = self.coef_fmt.frac_bits() + f;
+        let bias_shift = internal_f - self.bias_fmt.frac_bits();
+        round_shift(slope * mag + (bias << bias_shift), internal_f - out_frac)
+    }
+
+    /// The absolute-value stage, saturating the two's-complement minimum.
+    #[inline]
+    fn kernel_magnitude(&self, raw: i64) -> i64 {
+        raw.unsigned_abs().min(self.config.format.max_raw() as u64) as i64
+    }
+
+    /// σ's MAC result at `out_frac` fractional bits (Eqs. 8–9).
+    #[inline]
+    fn sigma_raw(&self, raw: i64, out_frac: u32) -> i64 {
+        let mag = self.kernel_magnitude(raw);
+        let (slope, q) = self.kernel_entry(mag);
+        let (slope, bias) = if raw >= 0 {
+            (slope, q)
+        } else {
+            (-slope, bias::one_minus_q(q, self.bias_fmt.frac_bits()))
+        };
+        self.kernel_mac(slope, mag, bias, out_frac)
+    }
+
+    #[inline]
+    fn sigmoid_raw(&self, raw: i64) -> i64 {
+        let fmt = self.config.format;
+        self.sigma_raw(raw, fmt.frac_bits())
+            .clamp(fmt.min_raw(), fmt.max_raw())
+    }
+
+    /// tanh (Eqs. 10–11): the LUT at `2|x|`, slope `4·m₁` saturated in
+    /// the coefficient word (whose raw range is the format's), Fig. 3b/3c
+    /// biases.
+    #[inline]
+    fn tanh_raw(&self, raw: i64) -> i64 {
+        let fmt = self.config.format;
+        let mag = self.kernel_magnitude(raw);
+        let (slope, q) = self.kernel_entry((2 * mag).min(fmt.max_raw()));
+        let slope4 = (slope << 2).clamp(fmt.min_raw(), fmt.max_raw());
+        let f = self.bias_fmt.frac_bits();
+        let (slope, bias) = if raw >= 0 {
+            (slope4, bias::two_q_minus_one(q, f))
+        } else {
+            (-slope4, bias::one_minus_two_q(q, f))
+        };
+        self.kernel_mac(slope, mag, bias, fmt.frac_bits())
+            .clamp(fmt.min_raw(), fmt.max_raw())
+    }
+
+    /// `e^x` (Eq. 14): σ(|x|) in the working word, clamped into
+    /// `[0.5, 1]`, one reciprocal divide, the Fig. 3b decrementor, and the
+    /// rounding resize into the output format.
+    #[inline]
+    fn exp_raw(&self, raw: i64) -> i64 {
+        let fmt = self.config.format;
+        let wf = self.bias_fmt.frac_bits();
+        let one = 1_i64 << wf;
+        let neg = if raw > 0 {
+            0
+        } else {
+            self.kernel_magnitude(raw)
+        };
+        let sigma = self.sigma_raw(neg, wf).clamp(one / 2, one);
+        let sigma_prime = ((1_u64 << (2 * wf)) / sigma as u64) as i64;
+        let e = bias::decrement_unit(sigma_prime, wf);
+        self.rescale(e, wf, fmt.frac_bits())
+    }
+
+    /// `raw` at `from` fractional bits, resized to `to` fractional bits
+    /// with nearest rounding and saturated into the N-bit word — the
+    /// output and working formats share its raw range (`Fx::resize`).
+    #[inline]
+    fn rescale(&self, raw: i64, from: u32, to: u32) -> i64 {
+        let fmt = self.config.format;
+        let r = if to >= from {
+            raw << (to - from)
+        } else {
+            round_shift(raw, from - to)
+        };
+        r.clamp(fmt.min_raw(), fmt.max_raw())
     }
 }
 
@@ -746,6 +971,28 @@ mod tests {
         }
         // The asymmetric minimum saturates instead of overflowing.
         assert_eq!(n.magnitude_raw(Fx::min(fmt)), fmt.max_raw());
+    }
+
+    #[test]
+    fn kernel_takes_the_walk_past_31_bits() {
+        // A 40-bit MAC sum would overflow `i64`; the kernel must still
+        // answer what the walk answers.
+        let n = Nacu::new(NacuConfig::for_width(40).unwrap()).unwrap();
+        let fmt = n.config().format;
+        let xs: Vec<Fx> = [fmt.min_raw(), -12_345_678_901, -1, 0, 7, fmt.max_raw()]
+            .iter()
+            .map(|&raw| Fx::from_raw(raw, fmt).unwrap())
+            .collect();
+        for f in [Function::Sigmoid, Function::Tanh, Function::Exp] {
+            let mut ys = xs.clone();
+            n.kernel_in_place(f, &mut ys);
+            for (&x, &y) in xs.iter().zip(&ys) {
+                assert_eq!(y, n.compute(f, x), "{f} at {x:?}");
+            }
+        }
+        let mut ys = xs.clone();
+        n.kernel_softmax(&mut ys).unwrap();
+        assert_eq!(ys, n.softmax(&xs).unwrap());
     }
 
     #[test]

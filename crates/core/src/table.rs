@@ -1,5 +1,5 @@
 //! Flattened response tables: the whole unary transfer function of a
-//! narrow NACU, precomputed by the datapath itself.
+//! narrow NACU, precomputed by the serving kernel.
 //!
 //! For an `N`-bit format with `N ≤ 16`, σ/tanh/exp are pure functions of
 //! a ≤16-bit two's-complement input code, so the **entire** response fits
@@ -11,18 +11,18 @@
 //! division.
 //!
 //! Bit-identity is **by construction**, not by approximation: the builder
-//! runs the golden [`Nacu`] datapath once over every input code and
-//! stores the raw output codes verbatim. A table lookup therefore cannot
-//! disagree with the datapath — the exhaustive equivalence tests in this
-//! module and in `nacu-engine` merely re-verify what the construction
-//! already guarantees.
+//! runs [`Nacu::kernel`] once over every input code and stores the raw
+//! output codes verbatim. The kernel equals the golden walk
+//! ([`Nacu::compute`]) on every code — the root `tests/bit_identity.rs`
+//! proves that exhaustively — and the tests in this module re-verify the
+//! tables against the walk itself.
 //!
 //! Memory cost: 2 bytes per code per function — 128 KiB per function and
 //! 384 KiB for all three at the paper's 16-bit format, proportionally
 //! less for narrower sweeps. Formats wider than
 //! [`ResponseTables::MAX_TABLE_BITS`] get no tables
-//! ([`ResponseTables::build`] returns `None`) and callers fall back to
-//! the datapath.
+//! ([`ResponseTables::build`] returns `None`); the engine serves them
+//! from the kernel.
 
 use nacu_fixed::{Fx, QFormat};
 
@@ -40,16 +40,13 @@ pub struct ResponseTable {
 }
 
 impl ResponseTable {
-    /// Tabulates `function` by evaluating the golden datapath at every
-    /// one of the format's `2^N` input codes.
+    /// Tabulates `function` by evaluating the kernel at every one of the
+    /// format's `2^N` input codes.
     fn build(nacu: &Nacu, function: Function) -> Self {
         let format = nacu.config().format;
         let codes: Box<[i16]> = format
             .raw_codes()
-            .map(|raw| {
-                let x = Fx::from_raw_saturating(raw, format);
-                nacu.compute(function, x).raw() as i16
-            })
+            .map(|raw| nacu.kernel(function, raw) as i16)
             .collect();
         // The batch-gather entry points below rely on the exact-2^N size
         // to make masked indexing a no-op (see `index_mask`).
@@ -88,8 +85,7 @@ impl ResponseTable {
         self.codes.is_empty()
     }
 
-    /// The function value at `x`, bit-identical to the datapath that
-    /// built the table.
+    /// The function value at `x`, bit-identical to the datapath.
     ///
     /// # Panics
     ///
@@ -165,11 +161,11 @@ impl ResponseTables {
     /// Widest format the tables are built for. Beyond 16 bits the table
     /// grows past `2^16` entries per function and the flattened-LUT
     /// trade-off inverts: the segmented coefficient LUT is the smaller
-    /// artefact, so wide configurations keep the datapath.
+    /// artefact, so wide configurations are served by the kernel over it.
     pub const MAX_TABLE_BITS: u32 = 16;
 
-    /// Builds σ/tanh/exp tables from the golden datapath, or `None` when
-    /// the format is wider than [`Self::MAX_TABLE_BITS`].
+    /// Builds σ/tanh/exp tables from the kernel, or `None` when the
+    /// format is wider than [`Self::MAX_TABLE_BITS`].
     #[must_use]
     pub fn build(nacu: &Nacu) -> Option<Self> {
         let format = nacu.config().format;
@@ -190,9 +186,7 @@ impl ResponseTables {
         self.format
     }
 
-    /// The table for a unary function, `None` for softmax/MAC (softmax
-    /// keeps the divider and draws only its exp stage from
-    /// [`Self::exp`]).
+    /// The table for a unary function, `None` for softmax/MAC.
     #[must_use]
     pub fn get(&self, function: Function) -> Option<&ResponseTable> {
         match function {
@@ -201,12 +195,6 @@ impl ResponseTables {
             Function::Exp => Some(&self.exp),
             _ => None,
         }
-    }
-
-    /// The exp table — softmax's table-served stage.
-    #[must_use]
-    pub fn exp(&self) -> &ResponseTable {
-        &self.exp
     }
 
     /// Total table memory in bytes (the fast path's footprint).
@@ -220,7 +208,6 @@ impl ResponseTables {
 mod tests {
     use super::*;
     use crate::config::NacuConfig;
-    use crate::NacuError;
 
     fn tables_for(config: NacuConfig) -> (Nacu, ResponseTables) {
         let nacu = Nacu::new(config).expect("valid config");
@@ -269,21 +256,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn softmax_with_table_exp_is_bit_identical_to_the_datapath() {
-        let (nacu, tables) = tables_for(NacuConfig::paper_16bit());
-        let fmt = nacu.config().format;
-        let inputs: Vec<Fx> = [-3.2, 0.0, 1.5, 7.75, -0.125, 2.0]
-            .iter()
-            .map(|&v| Fx::from_f64(v, fmt, nacu_fixed::Rounding::Nearest))
-            .collect();
-        let golden = nacu.softmax(&inputs).expect("valid vector");
-        let fast = nacu
-            .softmax_with(&inputs, |x| Ok::<_, NacuError>(tables.exp().lookup(x)))
-            .expect("valid vector");
-        assert_eq!(golden, fast);
-    }
-
     /// The masked fast lookup and the in-place batch gather agree with
     /// the asserting scalar lookup on every code of the paper's format.
     #[test]
@@ -327,6 +299,6 @@ mod tests {
     fn lookup_rejects_alien_formats() {
         let (_, tables) = tables_for(NacuConfig::paper_16bit());
         let alien = Fx::zero(QFormat::new(2, 13).unwrap());
-        let _ = tables.exp().lookup(alien);
+        let _ = tables.get(Function::Exp).expect("unary").lookup(alien);
     }
 }

@@ -5,18 +5,20 @@
 //! function's responses. There are two: [`ResponseTable`] itself, one
 //! masked table read per operand ([`ResponseTable::lookup_in_place`]),
 //! for every table-backed batch; and [`DatapathWalk`], the checked
-//! datapath, for fault-planned workers and formats too wide to
-//! tabulate. That is
-//! also the seam a CGRA-backed worker variant would plug into later:
-//! anything that can turn a batch of operands into bit-identical
-//! outputs is an executor.
+//! datapath — the golden reference and fault harness — for fault-planned
+//! workers and engines with the fast path off. A healthy worker serves a
+//! format too wide to tabulate from its unit's integer kernel
+//! ([`nacu::Nacu::kernel_in_place`]) instead. That is also the seam a
+//! CGRA-backed worker variant would plug into later: anything that can
+//! turn a batch of operands into bit-identical outputs is an executor.
 //!
 //! The gather needs no unchecked indexing: tables hold exactly `2^N`
 //! entries, so `offset & table.index_mask()` is provably in bounds and
 //! the compiler drops the bounds checks (see
 //! [`ResponseTable::index_mask`]). Bit-identity is by construction — the
-//! tables were built by the golden datapath — and re-proven by the
-//! exhaustive sweeps in this module and in `tests/bit_identical.rs`.
+//! tables were built by the kernel, which equals the golden walk on every
+//! code — and re-proven by the exhaustive sweeps in this module and in
+//! the root `tests/bit_identical.rs`.
 
 use nacu::{Function, ResponseTable};
 use nacu_faults::{CheckedNacu, FaultEvent};
@@ -64,7 +66,7 @@ impl BatchExecutor for ResponseTable {
 }
 
 /// Full datapath walk through a worker's [`CheckedNacu`] — the fallible
-/// executor fault-planned workers (and untabulated formats) serve from.
+/// executor fault-planned workers (and fast-path-off engines) serve from.
 pub struct DatapathWalk<'a> {
     unit: &'a CheckedNacu,
     function: Function,

@@ -23,7 +23,9 @@
 //!   once (see [`report::modeled_batch_cycles`]).
 //! * Every worker owns a private [`Nacu`] built from the shared
 //!   [`NacuConfig`]; construction is deterministic, so pool results are
-//!   **bit-identical** to the sequential datapath.
+//!   **bit-identical** to the sequential datapath. A healthy worker
+//!   serves from the response tables or its unit's integer kernel; the
+//!   checked walk serves fault-planned workers and fast-path-off engines.
 //! * [`Engine::metrics`] snapshots live counters without stopping the
 //!   pool; [`Engine::report_since`] converts an interval into a
 //!   [`ThroughputReport`] of software ops/s next to modeled hardware
@@ -147,12 +149,15 @@ pub struct EngineConfig {
     /// operands in `f64` and checks the error against the paper's Eq. 7
     /// bound (0 disables sampling entirely).
     pub health_sample_every: u64,
-    /// Serve unary batches from precomputed response tables
-    /// ([`nacu::ResponseTables`], built once by the golden datapath at
-    /// engine start) instead of walking the datapath per operand.
-    /// Bit-identical by construction; engages only when the format fits
-    /// the table budget (≤ [`nacu::ResponseTables::MAX_TABLE_BITS`] bits)
-    /// and, per worker, only on slots with no injected fault plan.
+    /// Serve without walking the checked datapath per operand: σ/tanh/exp
+    /// from precomputed response tables ([`nacu::ResponseTables`], built
+    /// once at engine start) where the format fits the table budget
+    /// (≤ [`nacu::ResponseTables::MAX_TABLE_BITS`] bits), from the unit's
+    /// integer kernel ([`Nacu::kernel_in_place`]) where it does not, and
+    /// softmax from the kernel ([`Nacu::kernel_softmax`]). Both are
+    /// bit-identical to the walk, which stays the golden reference.
+    /// Per worker, engages only on slots with no injected fault plan;
+    /// with it off, every worker walks its checked unit.
     pub use_fast_path: bool,
     /// Capacity (in in-flight records) of the trace recorder, 0 to run
     /// unrecorded (the default). With a capacity set, the engine taps its
@@ -817,10 +822,10 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Result<Self, NacuError> {
         let probe = Nacu::new(config.nacu)?;
         let format = probe.config().format;
-        // The probe doubles as the table builder: the golden datapath
-        // computes every 2^N response code once, here, and the workers
-        // share the result behind one `Arc`. `build` returns `None` past
-        // the table budget, leaving wide formats on the datapath.
+        // The probe doubles as the table builder: its kernel computes
+        // every 2^N response code once, here, and the workers share the
+        // result behind one `Arc`. `build` returns `None` past the table
+        // budget, leaving wide formats to the workers' kernels.
         let tables = if config.use_fast_path {
             ResponseTables::build(&probe).map(Arc::new)
         } else {
@@ -859,6 +864,7 @@ impl Engine {
             metrics: Arc::clone(&metrics),
             obs: Arc::clone(&obs),
             health: Arc::clone(&health),
+            fast_path: config.use_fast_path,
             tables,
             recorder,
         });

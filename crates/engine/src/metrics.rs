@@ -38,7 +38,8 @@ impl Kind {
 }
 
 /// Operands served, loaded once per snapshot: `[function][path]` with
-/// functions σ, tanh, exp, softmax and paths `[datapath, table]`.
+/// functions σ, tanh, exp, softmax and paths `[walk, fast]`: along the
+/// checked datapath walk, or without it (table gather or integer kernel).
 type OpCounts = [[u64; 2]; 4];
 
 /// One row per [`MetricsSnapshot`] field, in exporter order:
@@ -181,11 +182,11 @@ counters! {
     /// Shadow-sampled operands whose error against the f64 reference
     /// exceeded the Eq. 7 bound (or the Eq. 16 exp budget).
     drift_alarms: Sum(DriftAlarms) => "nacu_engine_drift_alarms_total";
-    /// Operands answered from the response-table fast path (a subset of
-    /// the per-function op counters; 0 means every operand walked the
-    /// datapath — fast path disabled, format too wide, or fault plans
-    /// forcing the fallback).
-    fast_path_ops: Sum = |ops: &OpCounts| ops.iter().map(|[_, table]| table).sum()
+    /// Operands answered without the checked datapath walk, by table
+    /// gather or integer kernel (a subset of the per-function op counters;
+    /// 0 means every operand walked the datapath — fast path disabled, or
+    /// fault plans forcing the walk).
+    fast_path_ops: Sum = |ops: &OpCounts| ops.iter().map(|[_, fast]| fast).sum()
         => "nacu_engine_fast_path_ops_total";
     // The net_* counters are recorded by the wire front-end in its own
     // crate, through `EngineHandle::live_metrics`.
@@ -266,14 +267,14 @@ impl EngineMetrics {
 
     /// One fused hardware batch: `requests` requests totalling `ops`
     /// operands of `function`, costing `cycles` modeled cycles, answered
-    /// from the response tables when `table_served`, else the datapath.
+    /// without the checked walk when `fast`, else along it.
     pub(crate) fn record_batch(
         &self,
         function: Function,
         requests: u64,
         ops: u64,
         cycles: u64,
-        table_served: bool,
+        fast: bool,
     ) {
         self.add(Counter::BatchesExecuted, 1);
         self.add(Counter::RequestsCompleted, requests);
@@ -288,7 +289,7 @@ impl EngineMetrics {
             // count it nowhere.
             _ => return,
         };
-        per_path[usize::from(table_served)].fetch_add(ops, Ordering::Relaxed);
+        per_path[usize::from(fast)].fetch_add(ops, Ordering::Relaxed);
     }
 }
 

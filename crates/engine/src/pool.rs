@@ -9,6 +9,14 @@
 //! many physical NACU instances configured alike, fed from one stream of
 //! work.
 //!
+//! A worker with no fault plan, in an engine with the fast path on,
+//! serves without the checked walk: σ/tanh/exp from the response table
+//! where the format has one and from its unit's integer kernel
+//! ([`nacu::Nacu::kernel_in_place`]) where it has none, and every softmax
+//! from the kernel. A fault-planned worker, or any worker with the fast
+//! path off, walks its [`CheckedNacu`], whose taps and detectors sit on
+//! the walk's nets.
+//!
 //! The fault story, end to end:
 //!
 //! 1. A worker's unit carries the [`FaultPlan`] its slot was configured
@@ -32,7 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use nacu::{Function, NacuConfig, NacuError, ResponseTable, ResponseTables};
+use nacu::{Function, Nacu, NacuConfig, ResponseTable, ResponseTables};
 use nacu_faults::{CheckedError, CheckedNacu, FaultEvent};
 use nacu_obs::{Obs, Stage, TraceKind};
 use nacu_replay::Recorder;
@@ -100,9 +108,12 @@ pub(crate) struct PoolShared {
     pub(crate) obs: Arc<Obs>,
     /// One health flag per worker slot; `false` = quarantined.
     pub(crate) health: Arc<Vec<AtomicBool>>,
+    /// [`crate::EngineConfig::use_fast_path`]: workers with an empty fault
+    /// plan serve without the checked walk (see [`run_worker`]).
+    pub(crate) fast_path: bool,
     /// Response tables for the fast path, `None` when disabled or when
     /// the format is too wide to tabulate. One copy serves every thread;
-    /// workers with a non-empty fault plan ignore it (see [`run_worker`]).
+    /// workers with a non-empty fault plan ignore it.
     pub(crate) tables: Option<Arc<ResponseTables>>,
     /// Trace recorder workers complete reply halves into, `None` when
     /// the engine runs unrecorded.
@@ -147,12 +158,11 @@ fn run_worker(worker: usize, shared: &PoolShared) {
         .with_detectors(shared.fault.detectors);
     // Fast-path eligibility is per worker slot: a slot configured with an
     // injected fault plan must walk the real datapath so the parity /
-    // residue detectors see real nets — its tables are simply withheld.
-    // (The scrub below always walks the real ROM regardless.)
-    let tables = shared
-        .tables
-        .as_deref()
-        .filter(|_| shared.fault.plan_for(worker).is_empty());
+    // residue detectors see real nets — its tables and kernel are simply
+    // withheld. (The scrub below always walks the real ROM regardless.)
+    let kernel =
+        (shared.fast_path && shared.fault.plan_for(worker).is_empty()).then(|| unit.golden());
+    let tables = shared.tables.as_deref().filter(|_| kernel.is_some());
     let mut batches_served: u64 = 0;
     // Every batch is popped into and served from the same scratch Vecs,
     // so the steady-state loop never allocates.
@@ -176,7 +186,7 @@ fn run_worker(worker: usize, shared: &PoolShared) {
                 return;
             }
         }
-        match serve_batch(worker, &unit, tables, &mut scratch, shared) {
+        match serve_batch(worker, &unit, kernel, tables, &mut scratch, shared) {
             Ok(()) => batches_served += 1,
             Err((event, stranded)) => {
                 quarantine(worker, event, stranded, shared);
@@ -248,13 +258,15 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
 
 /// Serves one coalesced batch from `scratch.jobs`: σ/tanh/exp through
 /// [`serve_unary`] — from the response table when the worker has one,
-/// along its checked datapath otherwise — and softmax through
-/// [`serve_softmax`]. On a detector event, returns the batch's
-/// still-unanswered jobs so the caller can re-route them — partial
-/// results from the flagged unit are discarded, never sent.
+/// else from `kernel` when the worker has that, along its checked
+/// datapath otherwise — and softmax through [`serve_softmax`]. On a
+/// detector event, returns the batch's still-unanswered jobs so the
+/// caller can re-route them — partial results from the flagged unit are
+/// discarded, never sent.
 fn serve_batch(
     worker: usize,
     unit: &CheckedNacu,
+    kernel: Option<&Nacu>,
     tables: Option<&ResponseTables>,
     scratch: &mut Scratch,
     shared: &PoolShared,
@@ -263,12 +275,12 @@ fn serve_batch(
         return Ok(());
     };
     if !scalar_function(function) {
-        let exp_table = tables.map(ResponseTables::exp);
-        return serve_softmax(worker, unit, exp_table, scratch, shared);
+        return serve_softmax(worker, unit, kernel, scratch, shared);
     }
-    let exec = match tables.and_then(|t| t.get(function)) {
-        Some(table) => Unary::Table(table),
-        None => Unary::Datapath(DatapathWalk::new(unit, function)),
+    let exec = match (tables.and_then(|t| t.get(function)), kernel) {
+        (Some(table), _) => Unary::Table(table),
+        (None, Some(nacu)) => Unary::Kernel(nacu),
+        (None, None) => Unary::Datapath(DatapathWalk::new(unit, function)),
     };
     serve_unary(worker, &exec, scratch, shared)
 }
@@ -295,10 +307,14 @@ pub(crate) fn serve_inline(shared: &PoolShared, table: &ResponseTable, job: Job)
 /// How a unary batch computes its outputs.
 enum Unary<'a> {
     /// The table gather: bit-identical by construction (the tables were
-    /// built by the golden datapath) and infallible, so outputs overwrite
-    /// each operand buffer in place and the buffer itself becomes the
-    /// response — nothing is allocated per operand or per request.
+    /// built by the kernel, itself proven equal to the golden walk) and
+    /// infallible, so outputs overwrite each operand buffer in place and
+    /// the buffer itself becomes the response — nothing is allocated per
+    /// operand or per request.
     Table(&'a ResponseTable),
+    /// The unit's integer kernel, for formats with no table: infallible
+    /// and in place like the gather.
+    Kernel(&'a Nacu),
     /// The worker's checked datapath, into a fresh buffer per job, so a
     /// mid-batch detector event leaves every operand buffer pristine for
     /// the retry path.
@@ -369,6 +385,12 @@ fn serve_unary(
             }
             None
         }
+        Unary::Kernel(nacu) => {
+            for job in live.iter_mut() {
+                nacu.kernel_in_place(function, &mut job.request.operands);
+            }
+            None
+        }
         Unary::Datapath(walk) => {
             let mut per_job = Vec::with_capacity(live.len());
             for job in live.iter() {
@@ -398,13 +420,13 @@ fn serve_unary(
         }
     }
     let service_ns = as_ns(service_start.elapsed());
-    let table_served = matches!(exec, Unary::Table(_));
+    let fast = !matches!(exec, Unary::Datapath(_));
     finish_batch(
         worker,
         function,
         live.len(),
         batch_ops,
-        table_served,
+        fast,
         service_ns,
         shared,
     );
@@ -426,14 +448,13 @@ fn serve_unary(
 }
 
 /// Serves softmax jobs one vector at a time (softmax never coalesces, so
-/// this is a singleton batch). With `exp_table`, the exp stage comes from
-/// the table and feeds the unchanged divider passes — bit-identical
-/// because the post-exp work-format resize is exact for values in
-/// [0, 1]; without it, the worker's checked unit walks the whole vector.
+/// this is a singleton batch). With `kernel`, the vector is normalised in
+/// place and its buffer becomes the response; without it, the worker's
+/// checked unit walks the whole vector into a fresh buffer.
 fn serve_softmax(
     worker: usize,
     unit: &CheckedNacu,
-    exp_table: Option<&ResponseTable>,
+    kernel: Option<&Nacu>,
     scratch: &mut Scratch,
     shared: &PoolShared,
 ) -> Result<(), (FaultEvent, Vec<Job>)> {
@@ -449,12 +470,11 @@ fn serve_softmax(
             ops: n as u32,
         });
         let service_start = Instant::now();
-        let operands = &live[index].request.operands;
-        let outputs = if let Some(table) = exp_table {
-            // Infallible: the golden unit has no detectors to trip.
-            unit.golden()
-                .softmax_with(operands, |x| Ok::<_, NacuError>(table.lookup(x)))
-                .expect("submit validated the vector")
+        let operands = &mut live[index].request.operands;
+        let outputs = if let Some(nacu) = kernel {
+            nacu.kernel_softmax(operands)
+                .expect("submit validated the vector");
+            std::mem::take(operands)
         } else {
             match unit.softmax(operands) {
                 Ok(outputs) => outputs,
@@ -467,15 +487,7 @@ fn serve_softmax(
             }
         };
         let service_ns = as_ns(service_start.elapsed());
-        finish_batch(
-            worker,
-            function,
-            1,
-            n,
-            exp_table.is_some(),
-            service_ns,
-            shared,
-        );
+        finish_batch(worker, function, 1, n, kernel.is_some(), service_ns, shared);
         reply(worker, &mut live[index], outputs, n, shared);
     }
     live.clear();
@@ -521,8 +533,8 @@ fn take_live(worker: usize, scratch: &mut Scratch, shared: &PoolShared) -> Optio
     Some(function)
 }
 
-/// Accounts one served batch, `table_served` when its operands came from
-/// the response tables. Metrics are recorded BEFORE any reply is sent: a
+/// Accounts one served batch, `fast` when its operands were served without
+/// the checked walk. Metrics are recorded BEFORE any reply is sent: a
 /// client observing its response must also observe the counters that
 /// account for it.
 fn finish_batch(
@@ -530,7 +542,7 @@ fn finish_batch(
     function: Function,
     requests: usize,
     ops: usize,
-    table_served: bool,
+    fast: bool,
     service_ns: u64,
     shared: &PoolShared,
 ) {
@@ -550,13 +562,9 @@ fn finish_batch(
         ops: ops as u32,
         service_ns,
     });
-    shared.metrics.record_batch(
-        function,
-        requests as u64,
-        ops as u64,
-        batch_cycles,
-        table_served,
-    );
+    shared
+        .metrics
+        .record_batch(function, requests as u64, ops as u64, batch_cycles, fast);
 }
 
 /// Completes one served job: its trace record, its end-to-end latency
@@ -615,16 +623,18 @@ mod tests {
             metrics: Arc::new(EngineMetrics::new()),
             obs: Arc::new(Obs::with_trace_capacity(64)),
             health: Arc::new((0..slots).map(|_| AtomicBool::new(true)).collect()),
+            fast_path: true,
             tables: None,
             recorder: None,
         })
     }
 
     /// Test adapter: serves one owned batch through the scratch-buffer
-    /// signature of [`serve_batch`].
+    /// signature of [`serve_batch`], off the walk when `fast`.
     fn serve(
         worker: usize,
         unit: &CheckedNacu,
+        fast: bool,
         tables: Option<&ResponseTables>,
         jobs: Vec<Job>,
         s: &PoolShared,
@@ -633,7 +643,8 @@ mod tests {
             jobs,
             ..Scratch::default()
         };
-        serve_batch(worker, unit, tables, &mut scratch, s)
+        let kernel = fast.then(|| unit.golden());
+        serve_batch(worker, unit, kernel, tables, &mut scratch, s)
     }
 
     fn job(shared: &PoolShared, v: f64) -> (Job, crate::Ticket) {
@@ -670,7 +681,7 @@ mod tests {
         let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
         let (a, a_rx) = job(&s, 0.25);
         let (b, b_rx) = job(&s, -1.5);
-        serve(0, &unit, Some(&tables), vec![a, b], &s).expect("infallible fast path");
+        serve(0, &unit, true, Some(&tables), vec![a, b], &s).expect("infallible fast path");
         let fmt = s.config.format;
         let expect = |v: f64| {
             unit.golden()
@@ -690,10 +701,10 @@ mod tests {
         );
     }
 
-    /// Softmax on the fast path: the exp stage comes from the table, the
-    /// divider stays on the datapath, and the result is bit-identical.
+    /// Softmax on the fast path: the kernel normalises the vector in
+    /// place, bit-identical to the walk, and counts it as fast path.
     #[test]
-    fn softmax_draws_its_exp_stage_from_the_table() {
+    fn softmax_is_served_from_the_kernel() {
         let s = shared(Vec::new(), 1);
         let unit = CheckedNacu::new(s.config).expect("paper config");
         let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
@@ -711,13 +722,31 @@ mod tests {
             submitted_at: Instant::now(),
             record: nacu_replay::NO_RECORD_SLOT,
         };
-        serve(0, &unit, Some(&tables), vec![j], &s).expect("infallible fast path");
+        serve(0, &unit, true, Some(&tables), vec![j], &s).expect("infallible fast path");
         let golden = unit.golden().softmax(&xs).expect("valid vector");
         assert_eq!(
             ticket.try_wait().expect("reply").expect("served").outputs,
             golden
         );
         assert_eq!(s.metrics.snapshot().fast_path_ops, xs.len() as u64);
+    }
+
+    /// With no table for the function, a fast worker serves from its
+    /// unit's kernel: in place, bit-identical, counted as fast path.
+    #[test]
+    fn kernel_serves_batches_without_a_table() {
+        let s = shared(Vec::new(), 1);
+        let unit = CheckedNacu::new(s.config).expect("paper config");
+        let (a, a_rx) = job(&s, 0.25);
+        let (b, b_rx) = job(&s, -1.5);
+        serve(0, &unit, true, None, vec![a, b], &s).expect("infallible kernel");
+        let fmt = s.config.format;
+        for (rx, v) in [(a_rx, 0.25), (b_rx, -1.5)] {
+            let x = Fx::from_f64(v, fmt, Rounding::Nearest);
+            let out = rx.try_wait().expect("reply").expect("served");
+            assert_eq!(out.outputs, vec![unit.golden().sigmoid(x)]);
+        }
+        assert_eq!(s.metrics.snapshot().fast_path_ops, 2);
     }
 
     /// Deterministic unit test of the retry path: a faulted worker's
@@ -729,7 +758,7 @@ mod tests {
             .expect("paper config")
             .with_plan(s.fault.plan_for(0));
         let (j, rx) = job(&s, 0.0);
-        let (event, stranded) = serve(0, &unit, None, vec![j], &s).unwrap_err();
+        let (event, stranded) = serve(0, &unit, false, None, vec![j], &s).unwrap_err();
         assert_eq!(event, FaultEvent::LutParity { entry: 0 });
         quarantine(0, event, stranded, &s);
         // Worker 0 is out; worker 1 is healthy, so the job went back into
@@ -764,7 +793,7 @@ mod tests {
         let unit = CheckedNacu::new(s.config).expect("paper config");
         let (a, a_rx) = job(&s, 0.25);
         let (b, b_rx) = job(&s, -0.5);
-        serve(0, &unit, None, vec![a, b], &s).expect("healthy batch");
+        serve(0, &unit, false, None, vec![a, b], &s).expect("healthy batch");
         assert!(a_rx.try_wait().expect("reply").is_ok());
         assert!(b_rx.try_wait().expect("reply").is_ok());
         let snap = s.obs.snapshot();
@@ -847,6 +876,7 @@ mod tests {
                 Obs::with_trace_capacity(64).with_health(HealthConfig::for_nacu(&config, 1)),
             ),
             health: Arc::new(vec![AtomicBool::new(true)]),
+            fast_path: true,
             tables: None,
             recorder: None,
         });
@@ -855,7 +885,7 @@ mod tests {
             .with_plan(s.fault.plan_for(0))
             .with_detectors(s.fault.detectors);
         let (j, rx) = job(&s, 0.5);
-        serve(0, &unit, None, vec![j], &s).expect("no detectors armed");
+        serve(0, &unit, false, None, vec![j], &s).expect("no detectors armed");
         assert!(rx.try_wait().expect("reply").is_ok(), "served, not failed");
         assert!(s.obs.health().alarm_latched(), "drift alarm latched");
         assert!(s.metrics.snapshot().drift_alarms >= 1);

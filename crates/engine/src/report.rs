@@ -124,7 +124,8 @@ pub struct ThroughputReport {
     pub retries: u64,
     /// Workers quarantined during the interval.
     pub workers_quarantined: u64,
-    /// Operands served straight from a response table.
+    /// Operands served without the checked walk: by response-table gather
+    /// or by the integer kernel.
     pub fast_path_ops: u64,
     /// Queue-wait latency distribution (submission → batch pickup),
     /// merged across functions. Zeroed until filled by
@@ -327,7 +328,7 @@ impl std::fmt::Display for ThroughputReport {
             )?;
         }
         if self.fast_path_ops > 0 {
-            write!(f, "; {} table-served op(s)", self.fast_path_ops)?;
+            write!(f, "; {} fast-path op(s)", self.fast_path_ops)?;
         }
         if self.faults_detected > 0 || self.workers_quarantined > 0 {
             write!(
@@ -402,10 +403,10 @@ mod tests {
         let r = ThroughputReport::from_interval(&delta, Duration::from_millis(1), 1);
         assert_eq!(r.fast_path_ops, 96);
         let rendered = format!("{r}");
-        assert!(rendered.contains("96 table-served op(s)"), "{rendered}");
-        // Reports with no table traffic keep the section out entirely.
+        assert!(rendered.contains("96 fast-path op(s)"), "{rendered}");
+        // Reports with no fast-path traffic keep the section out entirely.
         let quiet = format!("{}", ThroughputReport::default());
-        assert!(!quiet.contains("table-served"), "{quiet}");
+        assert!(!quiet.contains("fast-path"), "{quiet}");
     }
 
     #[test]

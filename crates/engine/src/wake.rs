@@ -7,7 +7,7 @@
 //! writer thread *per connection*. This module replaces that with the
 //! standard readiness shape, built only on `std`:
 //!
-//! * [`Slot`] — a one-shot completion cell with an `AtomicU8` state
+//! * `Slot` — a one-shot completion cell with an `AtomicU8` state
 //!   machine (`EMPTY → REGISTERING → REGISTERED → COMPLETE → CONSUMED`).
 //!   The completer publishes the value and *swaps* to `COMPLETE`; the
 //!   consumer registers a [`Waker`] under the `REGISTERING` guard state.

@@ -116,8 +116,8 @@ fn fully_broken_pool_fails_closed_with_typed_errors() {
 
 /// The fast-path fallback rule: a worker with an injected LUT fault must
 /// serve from the real datapath, where the parity detector sees the
-/// corrupted net — never from the response tables, which would mask the
-/// fault behind the golden builder's answers. The fast path is left at
+/// corrupted net — never from the response tables or the kernel, which
+/// would mask the fault behind golden answers. The fast path is left at
 /// its default (enabled); the fault plan alone forces the fallback.
 #[test]
 fn fault_injected_worker_serves_from_the_datapath_not_the_table() {

@@ -184,7 +184,7 @@ impl Fault {
     /// Applies the fault's mask to a stored pattern of `bits` width,
     /// keeping two's-complement sign extension. Used directly for
     /// permanent ROM corruption; dynamic sites go through
-    /// [`FaultPlan::tap`] so transients can count events.
+    /// the plan's tap (`FaultPlan::tap`) so transients can count events.
     #[must_use]
     pub fn corrupt_word(&self, raw: i64, bits: u32) -> i64 {
         apply_mask(raw.into(), bits.min(63), self.bit, self.kind) as i64

@@ -11,7 +11,7 @@
 //! * [`NonUniformPwl`] — non-uniform segments, first-order polynomial
 //!   (*NUPWL*).
 //!
-//! Each family is built against an f64 [`reference`] function over a domain
+//! Each family is built against an f64 [`reference`](mod@reference) function over a domain
 //! and evaluated **bit-accurately**: inputs, table contents and outputs are
 //! quantised [`nacu_fixed::Fx`] values, so measured errors include both the
 //! approximation error and the fixed-point quantisation error — exactly the

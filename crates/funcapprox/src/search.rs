@@ -94,7 +94,7 @@ pub fn best_max_error(
 /// Minimum entry count for which `family` achieves a swept max error of at
 /// most `tolerance` — one point of Fig. 4a.
 ///
-/// Returns `None` if even [`SEARCH_CEILING`] entries cannot reach the
+/// Returns `None` if even 2^13 entries cannot reach the
 /// tolerance (it is below the quantisation floor of `out_fmt`).
 #[must_use]
 pub fn min_entries(

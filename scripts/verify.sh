@@ -42,6 +42,7 @@ stage tier1-build cargo build --release --offline
 stage tier1-test cargo test -q --offline
 stage workspace cargo test --workspace --release -q --offline
 stage clippy cargo clippy --workspace --all-targets --offline -- -D warnings
+stage rustdoc env RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
 
 # Observability smoke: shadow-sampling overhead gate, a live /metrics
 # scrape over a real TCP socket, and the injected-drift /health demo.

@@ -5,10 +5,16 @@
 //!
 //! σ, tanh and exp (x ≤ 0) are swept over every input code at each
 //! `NacuConfig::for_width` width from 10 to 16 bits and at 20 bits (the
-//! Q4.15 unit the engine serves through the checked walk, as no response
-//! table covers it), with every detector armed: an equal output is also a
-//! proof that no detector fires on a healthy unit. Both sweeps together
-//! take well under a second at the test profile (`opt-level = 2`).
+//! Q4.15 unit, which no response table covers), with every detector
+//! armed: an equal output is also a proof that no detector fires on a
+//! healthy unit. Both sweeps together take well under a second at the
+//! test profile (`opt-level = 2`).
+//!
+//! The same widths prove the serving kernel ([`Nacu::kernel_in_place`],
+//! [`Nacu::kernel_softmax`]) against the walk: every code of σ, tanh and
+//! exp, and seeded softmax vectors plus the Eq. 13 edge cases. A healthy
+//! engine worker answers from the kernel, so these sweeps are what keep
+//! its replies golden.
 
 use nacu::{Function, Nacu, NacuConfig};
 use nacu_faults::{CheckedNacu, DetectorSet};
@@ -89,4 +95,120 @@ proptest! {
             prop_assert_eq!(c.exp(x).expect("clean plan"), g.exp(x));
         }
     }
+}
+
+/// The configurations the kernel is proven on: every `for_width` width
+/// from 10 to 16 bits and 20 bits, plus the densest ROM validation
+/// allows at 10 bits (one entry per code but one, so the multiply-shift
+/// address guess lands one segment low on most addresses) and the
+/// coarsest (4 entries).
+fn kernel_configs() -> Vec<NacuConfig> {
+    let mut configs: Vec<NacuConfig> = (10..=16)
+        .chain([20])
+        .map(|width| NacuConfig::for_width(width).expect("valid width"))
+        .collect();
+    let narrow = NacuConfig::for_width(10).expect("valid width");
+    let densest = usize::try_from(narrow.format.max_raw()).expect("positive");
+    configs.push(narrow.with_lut_entries(densest));
+    configs.push(narrow.with_lut_entries(4));
+    configs
+}
+
+#[test]
+fn kernel_equals_the_walk_on_every_code() {
+    for config in kernel_configs() {
+        let g = Nacu::new(config).expect("golden");
+        let fmt = config.format;
+        let codes: Vec<Fx> = fmt
+            .raw_codes()
+            .map(|raw| Fx::from_raw(raw, fmt).expect("in range"))
+            .collect();
+        for f in [Function::Sigmoid, Function::Tanh, Function::Exp] {
+            let mut ys = codes.clone();
+            g.kernel_in_place(f, &mut ys);
+            for (&x, &y) in codes.iter().zip(&ys) {
+                assert_eq!(y, g.compute(f, x), "{f} at {x:?}, {config:?}");
+                assert_eq!(g.kernel(f, x.raw()), y.raw(), "{f} scalar at {x:?}");
+            }
+        }
+    }
+}
+
+/// SplitMix64, for reproducible softmax vectors.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn assert_kernel_softmax(g: &Nacu, xs: &[Fx], case: &str) {
+    let mut ys = xs.to_vec();
+    g.kernel_softmax(&mut ys).expect("valid vector");
+    assert_eq!(
+        ys,
+        g.softmax(xs).expect("valid vector"),
+        "{case}: {:?}",
+        g.config()
+    );
+}
+
+#[test]
+fn kernel_softmax_equals_the_walk() {
+    let mut seed = 0x5EED_u64;
+    for config in kernel_configs() {
+        let g = Nacu::new(config).expect("golden");
+        let fmt = config.format;
+        let code = |bits: u64| {
+            let span = (fmt.max_raw() - fmt.min_raw() + 1) as u64;
+            Fx::from_raw(fmt.min_raw() + (bits % span) as i64, fmt).expect("in range")
+        };
+        // Seeded vectors: uniform codes, and codes within a few units of
+        // each other so the exps do not all underflow to zero.
+        for round in 0..2_000 {
+            let len = 1 + (splitmix(&mut seed) % 40) as usize;
+            let xs: Vec<Fx> = if round % 2 == 0 {
+                (0..len).map(|_| code(splitmix(&mut seed))).collect()
+            } else {
+                let base = code(splitmix(&mut seed)).raw();
+                let spread = (4 << fmt.frac_bits()) as u64;
+                (0..len)
+                    .map(|_| {
+                        let raw = base + (splitmix(&mut seed) % spread) as i64;
+                        Fx::from_raw_saturating(raw - spread as i64 / 2, fmt)
+                    })
+                    .collect()
+            };
+            assert_kernel_softmax(&g, &xs, "seeded");
+        }
+        let (lo, hi) = (Fx::min(fmt), Fx::max(fmt));
+        let zero = Fx::zero(fmt);
+        assert_kernel_softmax(&g, &[code(splitmix(&mut seed))], "length 1");
+        assert_kernel_softmax(&g, &[lo], "length 1, minimum");
+        assert_kernel_softmax(&g, &[code(7); 9], "all equal");
+        assert_kernel_softmax(&g, &[lo, hi, lo, zero, hi], "min/max mix");
+        assert_kernel_softmax(&g, &[lo, lo, lo], "all minimum");
+        assert_kernel_softmax(&g, &[hi, hi, lo, lo], "max and min pairs");
+        // e(0) is about 1.0, so 2^(int_bits + 8) equal elements sum to
+        // about twice the accumulator's Q(int_bits + 7) maximum.
+        let long = 1_usize << (fmt.int_bits() + 8);
+        assert_kernel_softmax(&g, &vec![hi; long], "saturating accumulator");
+        let mut mixed = vec![zero; long];
+        mixed[long / 3] = lo;
+        assert_kernel_softmax(&g, &mixed, "saturating accumulator, one minimum");
+    }
+}
+
+#[test]
+fn kernel_softmax_rejects_what_softmax_rejects() {
+    let g = Nacu::new(NacuConfig::paper_16bit()).expect("golden");
+    assert!(matches!(
+        g.kernel_softmax(&mut []),
+        Err(nacu::NacuError::EmptyVector)
+    ));
+    let alien = Fx::zero(nacu_fixed::QFormat::new(2, 13).expect("format"));
+    let mut xs = [alien];
+    assert!(g.kernel_softmax(&mut xs).is_err());
+    assert_eq!(xs, [alien], "a rejected vector is left untouched");
 }

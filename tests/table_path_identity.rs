@@ -83,9 +83,9 @@ fn pool_datapath_matches_the_datapath_for_every_code() {
 }
 
 /// Softmax always travels through the pool; a default engine's workers
-/// draw its exp stage from the one shared table copy, a fast-path-off
-/// engine's walk the datapath. Every code, as 16-element vectors, must
-/// match the sequential `Nacu::softmax` either way.
+/// normalise it with their unit's kernel, a fast-path-off engine's walk
+/// the datapath. Every code, as 16-element vectors, must match the
+/// sequential `Nacu::softmax` either way.
 #[test]
 fn pool_softmax_matches_the_datapath_for_every_code() {
     const VECTOR: usize = 16;
@@ -118,8 +118,8 @@ fn pool_softmax_matches_the_datapath_for_every_code() {
                 );
             }
         }
-        let expected_table_ops = if fast { codes.len() as u64 } else { 0 };
-        assert_eq!(engine.shutdown().fast_path_ops, expected_table_ops);
+        let expected_fast_ops = if fast { codes.len() as u64 } else { 0 };
+        assert_eq!(engine.shutdown().fast_path_ops, expected_fast_ops);
     }
 }
 
