@@ -40,6 +40,32 @@ impl Function {
             Function::Mac,
         ]
     }
+
+    /// The function's id on the `nacu-net` wire and in `nacu-replay`
+    /// trace logs, one id space for both. MAC is stateful, is never
+    /// served or recorded, and has no id.
+    #[must_use]
+    pub fn id(self) -> Option<u8> {
+        match self {
+            Function::Sigmoid => Some(0),
+            Function::Tanh => Some(1),
+            Function::Exp => Some(2),
+            Function::Softmax => Some(3),
+            Function::Mac => None,
+        }
+    }
+
+    /// The function with wire/trace-log id `id` (see [`Function::id`]).
+    #[must_use]
+    pub fn from_id(id: u8) -> Option<Function> {
+        match id {
+            0 => Some(Function::Sigmoid),
+            1 => Some(Function::Tanh),
+            2 => Some(Function::Exp),
+            3 => Some(Function::Softmax),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Function {
@@ -172,6 +198,21 @@ impl Default for NacuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn function_ids_round_trip_and_exclude_mac() {
+        for f in [
+            Function::Sigmoid,
+            Function::Tanh,
+            Function::Exp,
+            Function::Softmax,
+        ] {
+            let id = f.id().unwrap();
+            assert_eq!(Function::from_id(id), Some(f));
+        }
+        assert_eq!(Function::Mac.id(), None);
+        assert_eq!(Function::from_id(4), None);
+    }
 
     #[test]
     fn paper_config_validates() {

@@ -498,7 +498,7 @@ fn round_shift(value: i64, shift: u32) -> i64 {
 /// It answers exactly what [`Nacu::compute`] and [`Nacu::softmax`]
 /// answer, on every code (proven exhaustively in the root
 /// `tests/bit_identity.rs`). The walk stays the golden reference and the
-/// fault harness; the kernel is what a healthy serving worker runs.
+/// fault harness; the kernel is what a healthy engine serves with.
 /// Formats wider than 31 bits, whose MAC would overflow `i64`, are
 /// evaluated by the walk.
 impl Nacu {

@@ -4,10 +4,10 @@
 //! A [`BatchExecutor`] rewrites one operand buffer in place with the
 //! function's responses. There are two: [`ResponseTable`] itself, one
 //! masked table read per operand ([`ResponseTable::lookup_in_place`]),
-//! for every table-backed batch; and [`DatapathWalk`], the checked
-//! datapath — the golden reference and fault harness — for fault-planned
-//! workers and engines with the fast path off. A healthy worker serves a
-//! format too wide to tabulate from its unit's integer kernel
+//! for every table-backed request a healthy engine serves inline; and
+//! [`DatapathWalk`], the checked datapath — the golden reference and
+//! fault harness — which every pool worker serves with. A healthy engine
+//! serves a format too wide to tabulate from the integer kernel
 //! ([`nacu::Nacu::kernel_in_place`]) instead. That is also the seam a
 //! CGRA-backed worker variant would plug into later: anything that can
 //! turn a batch of operands into bit-identical outputs is an executor.
@@ -66,7 +66,7 @@ impl BatchExecutor for ResponseTable {
 }
 
 /// Full datapath walk through a worker's [`CheckedNacu`] — the fallible
-/// executor fault-planned workers (and fast-path-off engines) serve from.
+/// executor every pool worker serves from.
 pub struct DatapathWalk<'a> {
     unit: &'a CheckedNacu,
     function: Function,

@@ -11,21 +11,21 @@
 //!            Busy (backpressure)                 per-worker Nacu unit
 //! ```
 //!
-//! * [`Engine::submit`] pushes a [`Request`] (σ/tanh/exp batch or a
-//!   softmax vector) into a **bounded** queue; a full queue answers
-//!   [`SubmitError::Busy`] instead of growing without limit.
-//! * Table-backed σ/tanh/exp skip the queue: when the engine holds a
-//!   response table for the function (see [`EngineConfig::use_fast_path`]
-//!   — and no worker carries a fault plan), `submit` gathers the outputs
-//!   on the calling thread and returns an already-resolved [`Ticket`].
-//! * Workers pop *runs* of same-function scalar requests and fuse them
-//!   into one pipelined hardware batch, paying the Table I fill latency
-//!   once (see [`report::modeled_batch_cycles`]).
-//! * Every worker owns a private [`Nacu`] built from the shared
-//!   [`NacuConfig`]; construction is deterministic, so pool results are
-//!   **bit-identical** to the sequential datapath. A healthy worker
-//!   serves from the response tables or its unit's integer kernel; the
-//!   checked walk serves fault-planned workers and fast-path-off engines.
+//! * Healthy engines compute on the caller; the pool walks and is the
+//!   fault harness. With the fast path on (see
+//!   [`EngineConfig::use_fast_path`]) and no worker slot carrying a fault
+//!   plan, [`Engine::submit`] serves every [`Request`] (σ/tanh/exp batch
+//!   or softmax vector) on the calling thread — from the response tables
+//!   or the integer kernel — and returns an already-resolved [`Ticket`].
+//! * Every other engine pushes each request into a **bounded** queue; a
+//!   full queue answers [`SubmitError::Busy`] instead of growing without
+//!   limit. Workers pop *runs* of same-function scalar requests and fuse
+//!   them into one pipelined hardware batch, paying the Table I fill
+//!   latency once (see [`report::modeled_batch_cycles`]).
+//! * Every worker owns a private checked [`Nacu`] built from the shared
+//!   [`NacuConfig`] and walks it, with the fault detectors on its nets;
+//!   construction is deterministic, so pool results are **bit-identical**
+//!   to the sequential datapath, and so are the inline ones.
 //! * [`Engine::metrics`] snapshots live counters without stopping the
 //!   pool; [`Engine::report_since`] converts an interval into a
 //!   [`ThroughputReport`] of software ops/s next to modeled hardware
@@ -85,7 +85,7 @@ pub use wake::{Completer, TicketFuture};
 // nacu-faults directly.
 pub use nacu_faults::{DetectorSet, Fault, FaultEvent, FaultKind, FaultPlan, InjectionSite};
 
-use pool::{Job, PoolShared};
+use pool::{Inline, Job, PoolShared};
 use queue::{BoundedQueue, PushError};
 
 // The record/replay surface is re-exported so engine clients can drain
@@ -149,15 +149,17 @@ pub struct EngineConfig {
     /// operands in `f64` and checks the error against the paper's Eq. 7
     /// bound (0 disables sampling entirely).
     pub health_sample_every: u64,
-    /// Serve without walking the checked datapath per operand: σ/tanh/exp
-    /// from precomputed response tables ([`nacu::ResponseTables`], built
-    /// once at engine start) where the format fits the table budget
-    /// (≤ [`nacu::ResponseTables::MAX_TABLE_BITS`] bits), from the unit's
-    /// integer kernel ([`Nacu::kernel_in_place`]) where it does not, and
-    /// softmax from the kernel ([`Nacu::kernel_softmax`]). Both are
-    /// bit-identical to the walk, which stays the golden reference.
-    /// Per worker, engages only on slots with no injected fault plan;
-    /// with it off, every worker walks its checked unit.
+    /// Serve every request on the submitting thread without walking the
+    /// checked datapath per operand: σ/tanh/exp from precomputed response
+    /// tables ([`nacu::ResponseTables`], built once at engine start) where
+    /// the format fits the table budget
+    /// (≤ [`nacu::ResponseTables::MAX_TABLE_BITS`] bits), from the integer
+    /// kernel ([`Nacu::kernel_in_place`]) where it does not, and softmax
+    /// from the kernel ([`Nacu::kernel_softmax`]). Both are bit-identical
+    /// to the walk, which stays the golden reference. Engages only when no
+    /// worker slot carries an injected fault plan. Otherwise, or with it
+    /// off, every request is queued and a pool worker walks its checked
+    /// unit: the fault harness.
     pub use_fast_path: bool,
     /// Capacity (in in-flight records) of the trace recorder, 0 to run
     /// unrecorded (the default). With a capacity set, the engine taps its
@@ -244,7 +246,8 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables the response-table fast path (on by default).
+    /// Enables or disables the inline fast path (on by default; see
+    /// [`EngineConfig::use_fast_path`]).
     #[must_use]
     pub fn with_fast_path(mut self, enabled: bool) -> Self {
         self.use_fast_path = enabled;
@@ -402,8 +405,8 @@ impl From<RequestError> for WaitError {
 /// `ticket.await` works under any executor, and the waker it registers
 /// runs on whichever thread completes the request.
 ///
-/// A table-served request completes inside [`EngineHandle::submit`], so
-/// its ticket is already resolved when the caller receives it.
+/// A healthy engine's request completes inside [`EngineHandle::submit`],
+/// so its ticket is already resolved when the caller receives it.
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) slot: Arc<wake::Slot<wake::ReplyResult>>,
@@ -480,10 +483,10 @@ struct Shared {
     /// Queue, counters, observability, health flags and recorder — the
     /// state the workers serve from, and the inline path too.
     pool: Arc<PoolShared>,
-    /// Response tables `submit` serves σ/tanh/exp from on the calling
-    /// thread: present when the fast path is on, the format fits the
-    /// table budget, and no worker slot carries a fault plan.
-    inline_tables: Option<Arc<ResponseTables>>,
+    /// What `submit` serves every request with on the calling thread:
+    /// present when the fast path is on and no worker slot carries a
+    /// fault plan, `None` when every request goes to the pool.
+    inline: Option<Inline>,
     format: QFormat,
     default_deadline: Option<Duration>,
     /// Monotone request-id source; ids start at 1 so 0 can mean "no id".
@@ -520,17 +523,18 @@ impl EngineHandle {
 
     /// Submits a request, returning a [`Ticket`] for its response.
     ///
-    /// σ/tanh/exp on an engine with response tables (fast path on, a
-    /// format of at most 16 bits, no worker with a fault plan) are served
-    /// here, on the calling thread, before this returns; everything else
-    /// is queued for the pool.
+    /// A healthy engine (fast path on, no worker slot with a fault plan)
+    /// serves every request here, on the calling thread, before this
+    /// returns: σ/tanh/exp from the response table or the integer kernel,
+    /// softmax from the kernel, at every width. Every other engine queues
+    /// every request for the pool, whose workers walk the checked datapath.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Invalid`] for malformed requests,
     /// [`SubmitError::Busy`] when the bounded queue is full (backpressure —
-    /// nothing was enqueued), [`SubmitError::ShuttingDown`] after shutdown
-    /// began.
+    /// nothing was enqueued; healthy engines never queue),
+    /// [`SubmitError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, mut request: Request) -> Result<Ticket, SubmitError> {
         if matches!(request.function, Function::Mac) {
             return Err(SubmitError::Invalid(InvalidRequest::UnsupportedFunction(
@@ -601,20 +605,17 @@ impl EngineHandle {
                 ops: ops.min(u32::MAX as usize) as u32,
             });
         };
-        // Table-backed work is answered here, on the calling thread: a
-        // gather is cheaper than the hand-off to a worker and back.
-        let inline_table = self
-            .shared
-            .inline_tables
-            .as_deref()
-            .and_then(|t| t.get(function));
-        if let Some(table) = inline_table {
+        // A healthy engine answers here, on the calling thread: a table
+        // gather or a kernel pass is cheaper than the hand-off to a worker
+        // and back. The checks above are the ones the inline steps rely on
+        // (one format, non-empty, no MAC).
+        if let Some(inline) = &self.shared.inline {
             if pool.queue.is_closed() {
                 self.abandon_record(job.record);
                 return Err(SubmitError::ShuttingDown);
             }
             accepted();
-            crate::pool::serve_inline(pool, table, job);
+            crate::pool::serve_inline(pool, inline, job);
             return Ok(ticket);
         }
         match pool.queue.try_push(job) {
@@ -822,16 +823,18 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Result<Self, NacuError> {
         let probe = Nacu::new(config.nacu)?;
         let format = probe.config().format;
-        // The probe doubles as the table builder: its kernel computes
-        // every 2^N response code once, here, and the workers share the
-        // result behind one `Arc`. `build` returns `None` past the table
-        // budget, leaving wide formats to the workers' kernels.
-        let tables = if config.use_fast_path {
-            ResponseTables::build(&probe).map(Arc::new)
-        } else {
-            None
-        };
-        drop(probe);
+        // Inline serving needs every worker slot clean: a slot with a
+        // fault plan exists to be exercised, so its engine keeps all
+        // traffic on the pool. A healthy engine keeps the probe as its
+        // golden unit and builds its tables from the probe's kernel, every
+        // 2^N response code once, here; `build` returns `None` past the
+        // table budget, leaving wide formats to the kernel.
+        let healthy =
+            config.use_fast_path && config.fault_tolerance.plans.iter().all(FaultPlan::is_empty);
+        let inline = healthy.then(|| Inline {
+            tables: ResponseTables::build(&probe),
+            nacu: probe,
+        });
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let metrics = Arc::new(EngineMetrics::new());
         // The probe above already validated the config, so the bound
@@ -850,12 +853,6 @@ impl Engine {
         } else {
             None
         };
-        // Inline serving needs every worker slot clean: a slot with a
-        // fault plan exists to be exercised, so its engine keeps all
-        // traffic on the pool.
-        let inline_tables = tables
-            .clone()
-            .filter(|_| config.fault_tolerance.plans.iter().all(FaultPlan::is_empty));
         let pool = Arc::new(PoolShared {
             config: config.nacu,
             max_coalesced_requests: config.max_coalesced_requests.max(1),
@@ -864,8 +861,6 @@ impl Engine {
             metrics: Arc::clone(&metrics),
             obs: Arc::clone(&obs),
             health: Arc::clone(&health),
-            fast_path: config.use_fast_path,
-            tables,
             recorder,
         });
         let handles = pool::spawn_workers(&pool);
@@ -889,7 +884,7 @@ impl Engine {
         Ok(Self {
             shared: Arc::new(Shared {
                 pool,
-                inline_tables,
+                inline,
                 format,
                 default_deadline: config.default_deadline,
                 next_request_id: AtomicU64::new(0),
@@ -1199,9 +1194,16 @@ mod tests {
         ));
     }
 
+    /// Counted on a fast-path-off engine, whose requests reach the queue
+    /// (a healthy engine serves both inline and never queues).
     #[test]
     fn metrics_count_ops_per_function() {
-        let engine = engine(1);
+        let engine = Engine::new(
+            EngineConfig::new(NacuConfig::paper_16bit())
+                .with_workers(1)
+                .with_fast_path(false),
+        )
+        .expect("paper config");
         let fmt = engine.format();
         engine
             .submit(Request::new(Function::Sigmoid, operands(fmt, 5)))

@@ -9,13 +9,16 @@
 //! many physical NACU instances configured alike, fed from one stream of
 //! work.
 //!
-//! A worker with no fault plan, in an engine with the fast path on,
-//! serves without the checked walk: σ/tanh/exp from the response table
-//! where the format has one and from its unit's integer kernel
-//! ([`nacu::Nacu::kernel_in_place`]) where it has none, and every softmax
-//! from the kernel. A fault-planned worker, or any worker with the fast
-//! path off, walks its [`CheckedNacu`], whose taps and detectors sit on
-//! the walk's nets.
+//! Healthy engines compute on the caller; the pool walks and is the
+//! fault harness. An engine with the fast path on and no fault plan on
+//! any slot serves every request inside `submit` ([`serve_inline`]):
+//! σ/tanh/exp from the response table where the format has one and from
+//! the integer kernel ([`nacu::Nacu::kernel_in_place`]) where it has
+//! none, and every softmax from [`nacu::Nacu::kernel_softmax`]. Only the
+//! other engines — a fault plan on some slot, or the fast path off —
+//! queue work, and every worker serves it by walking its [`CheckedNacu`],
+//! whose taps and detectors sit on the walk's nets. Both run the same
+//! [`serve_unary`] and [`serve_softmax`] steps.
 //!
 //! The fault story, end to end:
 //!
@@ -108,13 +111,6 @@ pub(crate) struct PoolShared {
     pub(crate) obs: Arc<Obs>,
     /// One health flag per worker slot; `false` = quarantined.
     pub(crate) health: Arc<Vec<AtomicBool>>,
-    /// [`crate::EngineConfig::use_fast_path`]: workers with an empty fault
-    /// plan serve without the checked walk (see [`run_worker`]).
-    pub(crate) fast_path: bool,
-    /// Response tables for the fast path, `None` when disabled or when
-    /// the format is too wide to tabulate. One copy serves every thread;
-    /// workers with a non-empty fault plan ignore it.
-    pub(crate) tables: Option<Arc<ResponseTables>>,
     /// Trace recorder workers complete reply halves into, `None` when
     /// the engine runs unrecorded.
     pub(crate) recorder: Option<Arc<Recorder>>,
@@ -152,17 +148,12 @@ pub(crate) fn spawn_workers(shared: &Arc<PoolShared>) -> Vec<JoinHandle<()>> {
 
 fn run_worker(worker: usize, shared: &PoolShared) {
     // Per-worker unit; the config was validated when the engine was built.
+    // Every batch walks it, so the parity / residue detectors see the
+    // real nets of a fault-planned slot.
     let unit = CheckedNacu::new(shared.config)
         .expect("engine validated the config")
         .with_plan(shared.fault.plan_for(worker))
         .with_detectors(shared.fault.detectors);
-    // Fast-path eligibility is per worker slot: a slot configured with an
-    // injected fault plan must walk the real datapath so the parity /
-    // residue detectors see real nets — its tables and kernel are simply
-    // withheld. (The scrub below always walks the real ROM regardless.)
-    let kernel =
-        (shared.fast_path && shared.fault.plan_for(worker).is_empty()).then(|| unit.golden());
-    let tables = shared.tables.as_deref().filter(|_| kernel.is_some());
     let mut batches_served: u64 = 0;
     // Every batch is popped into and served from the same scratch Vecs,
     // so the steady-state loop never allocates.
@@ -186,7 +177,7 @@ fn run_worker(worker: usize, shared: &PoolShared) {
                 return;
             }
         }
-        match serve_batch(worker, &unit, kernel, tables, &mut scratch, shared) {
+        match serve_batch(worker, &unit, &mut scratch, shared) {
             Ok(()) => batches_served += 1,
             Err((event, stranded)) => {
                 quarantine(worker, event, stranded, shared);
@@ -256,69 +247,93 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
     }
 }
 
-/// Serves one coalesced batch from `scratch.jobs`: σ/tanh/exp through
-/// [`serve_unary`] — from the response table when the worker has one,
-/// else from `kernel` when the worker has that, along its checked
-/// datapath otherwise — and softmax through [`serve_softmax`]. On a
-/// detector event, returns the batch's still-unanswered jobs so the
-/// caller can re-route them — partial results from the flagged unit are
-/// discarded, never sent.
+/// Serves one coalesced batch from `scratch.jobs` along the worker's
+/// checked datapath: σ/tanh/exp through [`serve_unary`], softmax through
+/// [`serve_softmax`]. On a detector event, returns the batch's
+/// still-unanswered jobs so the caller can re-route them — partial
+/// results from the flagged unit are discarded, never sent.
 fn serve_batch(
     worker: usize,
     unit: &CheckedNacu,
-    kernel: Option<&Nacu>,
-    tables: Option<&ResponseTables>,
     scratch: &mut Scratch,
     shared: &PoolShared,
 ) -> Result<(), (FaultEvent, Vec<Job>)> {
     let Some(function) = scratch.jobs.first().map(|job| job.request.function) else {
         return Ok(());
     };
-    if !scalar_function(function) {
-        return serve_softmax(worker, unit, kernel, scratch, shared);
+    if scalar_function(function) {
+        let walk = Unary::Datapath(DatapathWalk::new(unit, function));
+        serve_unary(worker, &walk, scratch, shared)
+    } else {
+        serve_softmax(worker, Vector::Walk(unit), scratch, shared)
     }
-    let exec = match (tables.and_then(|t| t.get(function)), kernel) {
-        (Some(table), _) => Unary::Table(table),
-        (None, Some(nacu)) => Unary::Kernel(nacu),
-        (None, None) => Unary::Datapath(DatapathWalk::new(unit, function)),
-    };
-    serve_unary(worker, &exec, scratch, shared)
 }
 
-/// Serves one table-backed σ/tanh/exp request on the calling thread:
+/// What a healthy engine serves with on the submitting thread: its
+/// response tables, where the format fits the table budget, and the
+/// golden unit whose integer kernel serves everything else.
+#[derive(Debug)]
+pub(crate) struct Inline {
+    pub(crate) tables: Option<ResponseTables>,
+    pub(crate) nacu: Nacu,
+}
+
+/// Serves one submitted request on the calling thread:
 /// [`crate::EngineHandle::submit`]'s inline path, running the very
-/// [`serve_unary`] steps a worker runs, over a one-job batch. Its trace
-/// events and [`Response::worker`] carry the pool size as worker index —
-/// one past the last pool worker. The scratch buffers are thread-local,
-/// so a steady stream of submissions allocates nothing beyond the ticket.
-pub(crate) fn serve_inline(shared: &PoolShared, table: &ResponseTable, job: Job) {
+/// [`serve_unary`] / [`serve_softmax`] steps a worker runs, over a
+/// one-job batch. Its trace events and [`Response::worker`] carry the
+/// pool size as worker index — one past the last pool worker. The
+/// scratch buffers are thread-local, so a steady stream of submissions
+/// allocates nothing beyond the ticket.
+pub(crate) fn serve_inline(shared: &PoolShared, inline: &Inline, job: Job) {
     thread_local! {
         static SCRATCH: Cell<Scratch> = Cell::default();
     }
     let mut scratch = SCRATCH.take();
+    let function = job.request.function;
     scratch.jobs.push(job);
-    let gather = Unary::Table(table);
-    if let Err((event, _)) = serve_unary(shared.health.len(), &gather, &mut scratch, shared) {
-        unreachable!("table gathers are infallible: {event}");
-    }
+    let worker = shared.health.len();
+    let served = if scalar_function(function) {
+        let exec = match inline.tables.as_ref().and_then(|t| t.get(function)) {
+            Some(table) => Unary::Table(table),
+            None => Unary::Kernel(&inline.nacu),
+        };
+        serve_unary(worker, &exec, &mut scratch, shared)
+    } else {
+        serve_softmax(worker, Vector::Kernel(&inline.nacu), &mut scratch, shared)
+    };
+    // Only the walk arms return `Err` (a detector event), and this path
+    // has none. Were one returned, dropping its stranded jobs would
+    // resolve their tickets as `EngineShutDown` — nothing here panics on
+    // the caller's thread.
+    drop(served);
     SCRATCH.set(scratch);
 }
 
 /// How a unary batch computes its outputs.
 enum Unary<'a> {
-    /// The table gather: bit-identical by construction (the tables were
-    /// built by the kernel, itself proven equal to the golden walk) and
-    /// infallible, so outputs overwrite each operand buffer in place and
-    /// the buffer itself becomes the response — nothing is allocated per
-    /// operand or per request.
+    /// The table gather (inline only): bit-identical by construction (the
+    /// tables were built by the kernel, itself proven equal to the golden
+    /// walk) and infallible, so outputs overwrite each operand buffer in
+    /// place and the buffer itself becomes the response — nothing is
+    /// allocated per operand or per request.
     Table(&'a ResponseTable),
-    /// The unit's integer kernel, for formats with no table: infallible
-    /// and in place like the gather.
+    /// The integer kernel, for formats with no table (inline only):
+    /// infallible and in place like the gather.
     Kernel(&'a Nacu),
     /// The worker's checked datapath, into a fresh buffer per job, so a
     /// mid-batch detector event leaves every operand buffer pristine for
     /// the retry path.
     Datapath(DatapathWalk<'a>),
+}
+
+/// How a softmax vector is normalised.
+#[derive(Clone, Copy)]
+enum Vector<'a> {
+    /// [`Nacu::kernel_softmax`], in place (inline only).
+    Kernel(&'a Nacu),
+    /// The worker's checked unit, into a fresh buffer.
+    Walk(&'a CheckedNacu),
 }
 
 /// The unary-batch steps every serving thread shares — a worker over a
@@ -448,13 +463,19 @@ fn serve_unary(
 }
 
 /// Serves softmax jobs one vector at a time (softmax never coalesces, so
-/// this is a singleton batch). With `kernel`, the vector is normalised in
-/// place and its buffer becomes the response; without it, the worker's
-/// checked unit walks the whole vector into a fresh buffer.
+/// this is a singleton batch). The kernel normalises the vector in place
+/// and its buffer becomes the response; the walk writes a fresh buffer.
+///
+/// Neither can meet a malformed vector: `submit` rejected empty vectors
+/// and foreign formats, and the vector's maximum adds exp(0) = 1.0 to the
+/// denominator, so [`Nacu::kernel_softmax`]'s divide-by-zero cannot occur
+/// either. This step relies on that, but unwraps nothing: an `Err` other
+/// than a detector event answers the job `EngineShutDown` (see
+/// [`refuse`]), since on the inline path the serving thread is the
+/// caller's.
 fn serve_softmax(
     worker: usize,
-    unit: &CheckedNacu,
-    kernel: Option<&Nacu>,
+    exec: Vector<'_>,
     scratch: &mut Scratch,
     shared: &PoolShared,
 ) -> Result<(), (FaultEvent, Vec<Job>)> {
@@ -471,27 +492,38 @@ fn serve_softmax(
         });
         let service_start = Instant::now();
         let operands = &mut live[index].request.operands;
-        let outputs = if let Some(nacu) = kernel {
-            nacu.kernel_softmax(operands)
-                .expect("submit validated the vector");
-            std::mem::take(operands)
-        } else {
-            match unit.softmax(operands) {
-                Ok(outputs) => outputs,
+        let outputs = match exec {
+            Vector::Kernel(nacu) => nacu
+                .kernel_softmax(operands)
+                .map(|()| std::mem::take(operands)),
+            Vector::Walk(unit) => match unit.softmax(operands) {
+                Ok(outputs) => Ok(outputs),
                 Err(CheckedError::Fault(event)) => {
                     return Err((event, live.drain(index..).collect()));
                 }
-                Err(CheckedError::Nacu(e)) => {
-                    unreachable!("submit validated the vector: {e}")
-                }
-            }
+                Err(CheckedError::Nacu(e)) => Err(e),
+            },
+        };
+        let Ok(outputs) = outputs else {
+            refuse(&mut live[index], shared);
+            continue;
         };
         let service_ns = as_ns(service_start.elapsed());
-        finish_batch(worker, function, 1, n, kernel.is_some(), service_ns, shared);
+        let fast = matches!(exec, Vector::Kernel(_));
+        finish_batch(worker, function, 1, n, fast, service_ns, shared);
         reply(worker, &mut live[index], outputs, n, shared);
     }
     live.clear();
     Ok(())
+}
+
+/// Answers a job its datapath could not evaluate — unreachable after
+/// `submit`'s checks (see [`serve_softmax`]) — as failed, without a
+/// panic on the serving thread.
+fn refuse(job: &mut Job, shared: &PoolShared) {
+    abandon_record(shared, job.record);
+    shared.metrics.add(Counter::RequestsFailed, 1);
+    job.reply.complete(Err(RequestError::EngineShutDown));
 }
 
 /// Moves the unexpired jobs of `scratch.jobs` into `scratch.live`,
@@ -623,19 +655,15 @@ mod tests {
             metrics: Arc::new(EngineMetrics::new()),
             obs: Arc::new(Obs::with_trace_capacity(64)),
             health: Arc::new((0..slots).map(|_| AtomicBool::new(true)).collect()),
-            fast_path: true,
-            tables: None,
             recorder: None,
         })
     }
 
-    /// Test adapter: serves one owned batch through the scratch-buffer
-    /// signature of [`serve_batch`], off the walk when `fast`.
+    /// Test adapter: serves one owned batch along the worker's walk
+    /// through the scratch-buffer signature of [`serve_batch`].
     fn serve(
         worker: usize,
         unit: &CheckedNacu,
-        fast: bool,
-        tables: Option<&ResponseTables>,
         jobs: Vec<Job>,
         s: &PoolShared,
     ) -> Result<(), (FaultEvent, Vec<Job>)> {
@@ -643,8 +671,15 @@ mod tests {
             jobs,
             ..Scratch::default()
         };
-        let kernel = fast.then(|| unit.golden());
-        serve_batch(worker, unit, kernel, tables, &mut scratch, s)
+        serve_batch(worker, unit, &mut scratch, s)
+    }
+
+    /// A healthy engine's inline state: the golden unit, with or without
+    /// its tables.
+    fn inline(s: &PoolShared, with_tables: bool) -> Inline {
+        let nacu = Nacu::new(s.config).expect("paper config");
+        let tables = with_tables.then(|| ResponseTables::build(&nacu).expect("16-bit fits"));
+        Inline { tables, nacu }
     }
 
     fn job(shared: &PoolShared, v: f64) -> (Job, crate::Ticket) {
@@ -671,43 +706,40 @@ mod tests {
         FaultPlan::single(Fault::stuck_lut(InjectionSite::LutBias, 0, 13, true))
     }
 
-    /// The fast path answers from the tables, bit-identical to the
+    /// The inline path answers from the tables, bit-identical to the
     /// datapath, and the served operands are counted on the dedicated
     /// counter alongside the per-function one.
     #[test]
     fn fast_path_serves_bit_identical_outputs_and_counts_ops() {
         let s = shared(Vec::new(), 1);
-        let unit = CheckedNacu::new(s.config).expect("paper config");
-        let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
+        let inline = inline(&s, true);
         let (a, a_rx) = job(&s, 0.25);
         let (b, b_rx) = job(&s, -1.5);
-        serve(0, &unit, true, Some(&tables), vec![a, b], &s).expect("infallible fast path");
+        serve_inline(&s, &inline, a);
+        serve_inline(&s, &inline, b);
         let fmt = s.config.format;
-        let expect = |v: f64| {
-            unit.golden()
-                .sigmoid(Fx::from_f64(v, fmt, Rounding::Nearest))
-        };
+        let expect = |v: f64| inline.nacu.sigmoid(Fx::from_f64(v, fmt, Rounding::Nearest));
         let a_out = a_rx.try_wait().expect("reply").expect("served");
         let b_out = b_rx.try_wait().expect("reply").expect("served");
         assert_eq!(a_out.outputs, vec![expect(0.25)]);
         assert_eq!(b_out.outputs, vec![expect(-1.5)]);
+        assert_eq!(a_out.worker, 1, "inline answers carry the pool size");
         let m = s.metrics.snapshot();
         assert_eq!(m.fast_path_ops, 2);
         assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
         assert_eq!(
             m.modeled_cycles,
-            modeled_batch_cycles(Function::Sigmoid, 2),
+            2 * modeled_batch_cycles(Function::Sigmoid, 1),
             "Table I accounting models the hardware, not the software path"
         );
     }
 
-    /// Softmax on the fast path: the kernel normalises the vector in
+    /// Softmax on the inline path: the kernel normalises the vector in
     /// place, bit-identical to the walk, and counts it as fast path.
     #[test]
     fn softmax_is_served_from_the_kernel() {
         let s = shared(Vec::new(), 1);
-        let unit = CheckedNacu::new(s.config).expect("paper config");
-        let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
+        let inline = inline(&s, true);
         let fmt = s.config.format;
         let xs: Vec<Fx> = [-2.0, 0.5, 3.25, -0.125]
             .iter()
@@ -722,8 +754,8 @@ mod tests {
             submitted_at: Instant::now(),
             record: nacu_replay::NO_RECORD_SLOT,
         };
-        serve(0, &unit, true, Some(&tables), vec![j], &s).expect("infallible fast path");
-        let golden = unit.golden().softmax(&xs).expect("valid vector");
+        serve_inline(&s, &inline, j);
+        let golden = inline.nacu.softmax(&xs).expect("valid vector");
         assert_eq!(
             ticket.try_wait().expect("reply").expect("served").outputs,
             golden
@@ -731,20 +763,21 @@ mod tests {
         assert_eq!(s.metrics.snapshot().fast_path_ops, xs.len() as u64);
     }
 
-    /// With no table for the function, a fast worker serves from its
-    /// unit's kernel: in place, bit-identical, counted as fast path.
+    /// With no table for the function, the inline path serves from the
+    /// kernel: in place, bit-identical, counted as fast path.
     #[test]
     fn kernel_serves_batches_without_a_table() {
         let s = shared(Vec::new(), 1);
-        let unit = CheckedNacu::new(s.config).expect("paper config");
+        let inline = inline(&s, false);
         let (a, a_rx) = job(&s, 0.25);
         let (b, b_rx) = job(&s, -1.5);
-        serve(0, &unit, true, None, vec![a, b], &s).expect("infallible kernel");
+        serve_inline(&s, &inline, a);
+        serve_inline(&s, &inline, b);
         let fmt = s.config.format;
         for (rx, v) in [(a_rx, 0.25), (b_rx, -1.5)] {
             let x = Fx::from_f64(v, fmt, Rounding::Nearest);
             let out = rx.try_wait().expect("reply").expect("served");
-            assert_eq!(out.outputs, vec![unit.golden().sigmoid(x)]);
+            assert_eq!(out.outputs, vec![inline.nacu.sigmoid(x)]);
         }
         assert_eq!(s.metrics.snapshot().fast_path_ops, 2);
     }
@@ -758,7 +791,7 @@ mod tests {
             .expect("paper config")
             .with_plan(s.fault.plan_for(0));
         let (j, rx) = job(&s, 0.0);
-        let (event, stranded) = serve(0, &unit, false, None, vec![j], &s).unwrap_err();
+        let (event, stranded) = serve(0, &unit, vec![j], &s).unwrap_err();
         assert_eq!(event, FaultEvent::LutParity { entry: 0 });
         quarantine(0, event, stranded, &s);
         // Worker 0 is out; worker 1 is healthy, so the job went back into
@@ -793,7 +826,7 @@ mod tests {
         let unit = CheckedNacu::new(s.config).expect("paper config");
         let (a, a_rx) = job(&s, 0.25);
         let (b, b_rx) = job(&s, -0.5);
-        serve(0, &unit, false, None, vec![a, b], &s).expect("healthy batch");
+        serve(0, &unit, vec![a, b], &s).expect("healthy batch");
         assert!(a_rx.try_wait().expect("reply").is_ok());
         assert!(b_rx.try_wait().expect("reply").is_ok());
         let snap = s.obs.snapshot();
@@ -876,8 +909,6 @@ mod tests {
                 Obs::with_trace_capacity(64).with_health(HealthConfig::for_nacu(&config, 1)),
             ),
             health: Arc::new(vec![AtomicBool::new(true)]),
-            fast_path: true,
-            tables: None,
             recorder: None,
         });
         let unit = CheckedNacu::new(s.config)
@@ -885,7 +916,7 @@ mod tests {
             .with_plan(s.fault.plan_for(0))
             .with_detectors(s.fault.detectors);
         let (j, rx) = job(&s, 0.5);
-        serve(0, &unit, false, None, vec![j], &s).expect("no detectors armed");
+        serve(0, &unit, vec![j], &s).expect("no detectors armed");
         assert!(rx.try_wait().expect("reply").is_ok(), "served, not failed");
         assert!(s.obs.health().alarm_latched(), "drift alarm latched");
         assert!(s.metrics.snapshot().drift_alarms >= 1);

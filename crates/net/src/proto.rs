@@ -100,30 +100,6 @@ pub mod code {
     pub const INTERNAL: u8 = 5;
 }
 
-/// Wire id for a servable function (MAC is stateful and has no wire id).
-#[must_use]
-pub fn function_id(function: Function) -> Option<u8> {
-    match function {
-        Function::Sigmoid => Some(0),
-        Function::Tanh => Some(1),
-        Function::Exp => Some(2),
-        Function::Softmax => Some(3),
-        _ => None,
-    }
-}
-
-/// Function for a wire id.
-#[must_use]
-pub fn function_from_id(id: u8) -> Option<Function> {
-    match id {
-        0 => Some(Function::Sigmoid),
-        1 => Some(Function::Tanh),
-        2 => Some(Function::Exp),
-        3 => Some(Function::Softmax),
-        _ => None,
-    }
-}
-
 /// One decoded request frame (the payload after the length prefix).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestFrame {
@@ -363,7 +339,7 @@ pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
     out.extend_from_slice(&(payload_len as u32).to_le_bytes());
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
-    out.push(function_id(frame.function).expect("servable function"));
+    out.push(frame.function.id().expect("servable function"));
     out.push(frame.format.int_bits() as u8);
     out.push(frame.format.frac_bits() as u8);
     out.extend_from_slice(&frame.id.to_le_bytes());
@@ -415,7 +391,7 @@ fn check_envelope(payload: &[u8], header_len: usize) -> Result<(), DecodeError> 
 /// A [`DecodeError`] naming exactly what is malformed.
 pub fn decode_request(payload: &[u8], max_ops: u32) -> Result<RequestFrame, DecodeError> {
     check_envelope(payload, REQUEST_HEADER_LEN)?;
-    let function = function_from_id(payload[5]).ok_or(DecodeError::BadFunction(payload[5]))?;
+    let function = Function::from_id(payload[5]).ok_or(DecodeError::BadFunction(payload[5]))?;
     let (int_bits, frac_bits) = (payload[6], payload[7]);
     let format = QFormat::new(u32::from(int_bits), u32::from(frac_bits)).map_err(|_| {
         DecodeError::BadFormat {
@@ -832,20 +808,5 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn function_ids_round_trip_and_exclude_mac() {
-        for f in [
-            Function::Sigmoid,
-            Function::Tanh,
-            Function::Exp,
-            Function::Softmax,
-        ] {
-            let id = function_id(f).unwrap();
-            assert_eq!(function_from_id(id), Some(f));
-        }
-        assert_eq!(function_id(Function::Mac), None);
-        assert_eq!(function_from_id(4), None);
     }
 }

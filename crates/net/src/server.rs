@@ -2,15 +2,17 @@
 //!
 //! One accept thread guards the connection limit; each accepted socket
 //! gets a reader thread (decode → admission → engine submit). Each reply
-//! is written by the thread that completes its request:
+//! is written by the thread that completes its request. Healthy engines
+//! compute on the caller; the pool walks and is the fault harness:
 //!
-//! * the **reader** for table-served σ/tanh/exp, which the engine answers
-//!   inside `submit` — the ticket is already resolved when admission
-//!   hands it back;
-//! * the **engine worker** for pool-served work (softmax, formats without
-//!   tables, fault-injected engines), through a waker armed on the
-//!   ticket that encodes and writes the reply when the worker completes
-//!   it.
+//! * the **reader** writes every reply of a healthy engine (fast path on,
+//!   no fault plan), which answers σ/tanh/exp and softmax, at every
+//!   width, inside `submit` — the ticket is already resolved when
+//!   admission hands it back;
+//! * the **engine worker** writes the replies of a fault-planned or
+//!   fast-path-off engine, whose every request is pool-served, through a
+//!   waker armed on the ticket that encodes and writes the reply when the
+//!   worker completes it.
 //!
 //! No thread exists only to write replies, and no request crosses a
 //! thread just to be answered. Control replies (BUSY/SHED/QUOTA/ERROR)
@@ -63,8 +65,10 @@ use crate::proto::{
 };
 
 /// How long one reply write may block on a full socket before the
-/// connection is declared dead. Workers write pool-served replies, so
-/// this bounds what a client that stops reading can take from them.
+/// connection is declared dead. Workers write the replies of
+/// fault-planned and fast-path-off engines, so this bounds what a client
+/// that stops reading can take from them (and, on a healthy engine, from
+/// its own reader).
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-client rate limit for the token bucket.
@@ -86,9 +90,9 @@ pub struct NetConfig {
     /// errors (and their byte length bounds allocation up front).
     pub max_frame_ops: u32,
     /// Pool-served requests in flight per connection; the reader stops
-    /// decoding (TCP backpressure) once this many replies are owed.
-    /// Table-served requests are answered inside `submit` and never
-    /// count.
+    /// decoding (TCP backpressure) once this many replies are owed. Only
+    /// fault-planned and fast-path-off engines pool-serve: a healthy
+    /// engine answers every request inside `submit`, and none counts.
     pub max_inflight_per_conn: usize,
     /// Per-client-IP token bucket; `None` disables quota enforcement.
     pub quota: Option<Quota>,
@@ -454,7 +458,7 @@ fn read_loop(stream: TcpStream, conn_id: u32, plane: &Plane, conn: &Arc<Conn>) {
         match admit(frame, conn_id, plane, peer_ip) {
             Admission::Immediate(frame) => conn.write_reply(&frame, metrics),
             Admission::Submitted { client_id, ticket } => match ticket.try_wait() {
-                // Table-served work was answered inside `submit`.
+                // A healthy engine answered inside `submit`.
                 Some(outcome) => {
                     conn.write_reply(&completion_reply(client_id, outcome, metrics), metrics);
                 }

@@ -48,31 +48,6 @@ pub const FILE_HEADER_LEN: usize = 12;
 /// Record bytes between the length prefix and the operand codes.
 pub const RECORD_HEADER_LEN: usize = 40;
 
-/// Trace-log id for a servable function (MAC is stateful and is never
-/// recorded). Same id space as the `nacu-net` wire protocol.
-#[must_use]
-pub fn function_id(function: Function) -> Option<u8> {
-    match function {
-        Function::Sigmoid => Some(0),
-        Function::Tanh => Some(1),
-        Function::Exp => Some(2),
-        Function::Softmax => Some(3),
-        _ => None,
-    }
-}
-
-/// Function for a trace-log id.
-#[must_use]
-pub fn function_from_id(id: u8) -> Option<Function> {
-    match id {
-        0 => Some(Function::Sigmoid),
-        1 => Some(Function::Tanh),
-        2 => Some(Function::Exp),
-        3 => Some(Function::Softmax),
-        _ => None,
-    }
-}
-
 /// One recorded request/response pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -146,7 +121,7 @@ impl TraceLog {
         for record in &self.records {
             let len = RECORD_HEADER_LEN + 2 * record.operands.len() + 2 * record.responses.len();
             out.extend_from_slice(&(len.min(u32::MAX as usize) as u32).to_le_bytes());
-            out.push(function_id(record.function).unwrap_or(u8::MAX));
+            out.push(record.function.id().unwrap_or(u8::MAX));
             out.push(record.format.int_bits().min(255) as u8);
             out.push(record.format.frac_bits().min(255) as u8);
             out.push(0);
@@ -246,7 +221,7 @@ fn decode_record(bytes: &[u8], max_ops: u32) -> Result<(TraceRecord, usize), Rec
             got: body.len(),
         });
     }
-    let function = function_from_id(body[0]).ok_or(RecordDecodeError::BadFunction(body[0]))?;
+    let function = Function::from_id(body[0]).ok_or(RecordDecodeError::BadFunction(body[0]))?;
     let int_bits = body[1];
     let frac_bits = body[2];
     let format = QFormat::new(u32::from(int_bits), u32::from(frac_bits)).map_err(|_| {

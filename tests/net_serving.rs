@@ -253,7 +253,15 @@ fn requests_after_net_shutdown_answer_shutting_down() {
 /// connection is closed, and pool-served in-process work completes.
 #[test]
 fn a_client_that_never_reads_cannot_hold_a_worker() {
-    let engine = engine();
+    // Fast path off, so replies are written by pool workers: a healthy
+    // engine would answer on the reader and never involve a worker.
+    let engine = Engine::new(
+        EngineConfig::new(NacuConfig::paper_16bit())
+            .with_workers(2)
+            .with_queue_capacity(256)
+            .with_fast_path(false),
+    )
+    .expect("paper config");
     let server = engine.handle().serve_net("127.0.0.1:0").expect("bind");
     let fmt = engine.format();
     let big = operands_for(fmt, Function::Softmax, 0, 16_384);

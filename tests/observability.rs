@@ -178,7 +178,8 @@ fn metrics_scrapes_under_load_never_stall_serving() {
     let engine = Engine::new(
         EngineConfig::new(NacuConfig::paper_16bit())
             .with_workers(2)
-            .with_queue_capacity(8),
+            .with_queue_capacity(8)
+            .with_fast_path(false),
     )
     .expect("paper config");
     let fmt = engine.format();
@@ -191,9 +192,9 @@ fn metrics_scrapes_under_load_never_stall_serving() {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // Two producers keep the tiny queue saturated (Busy rejections
-        // are expected and fine — pressure is the point). Softmax, because
-        // table-served σ/tanh/exp is answered inside `submit` and never
-        // queues.
+        // are expected and fine — pressure is the point). The fast path
+        // is off, because a healthy engine answers every request inside
+        // `submit` and never queues; softmax walks longest per request.
         for _ in 0..2 {
             let handle = engine.handle();
             let stop = &stop;

@@ -1,6 +1,12 @@
 //! End-to-end graceful degradation: a pool with one deliberately broken
 //! unit keeps serving **bit-exact** answers by quarantining the bad
 //! worker and retrying its batches on healthy peers.
+//!
+//! The pool exists for this: only engines with a fault plan (or the
+//! fast path off) queue work, and their workers walk the checked
+//! datapath with the detectors armed. Wall-time budget: about 0.01 s in
+//! the tier-1 run on a 2-vCPU host (test profile); CI's `queue-stress`
+//! job also runs it with `--release`.
 
 use std::time::Duration;
 

@@ -1,15 +1,20 @@
-//! Bit-identity of both serving paths over every Q4.11 input code.
+//! Bit-identity of both serving paths over every input code, and the
+//! rule that decides between them: healthy engines compute on the
+//! caller; the pool walks and is the fault harness.
 //!
-//! A default engine answers table-backed σ/tanh/exp inside
-//! `EngineHandle::submit`, on the calling thread; with the fast path off
-//! the same requests travel through the queue to a pool worker walking
-//! the datapath. Both must reproduce the sequential [`Nacu`] for every
-//! code of the paper's 16-bit format, and so must softmax, which always
-//! runs on the pool. Engines carrying a fault plan must keep using the
-//! pool, whose workers run the detectors.
+//! A default engine answers every request inside `EngineHandle::submit`,
+//! on the calling thread: σ/tanh/exp from the response tables at Q4.11
+//! and from the integer kernel at Q4.15, softmax from the kernel at both.
+//! Nothing it serves ever enters the queue. An engine with the fast path
+//! off, or with a fault plan on any worker slot, sends every request
+//! through the queue to a pool worker walking the checked datapath. Both
+//! must reproduce the sequential [`Nacu`] for every code.
 
 use nacu::{Function, Nacu, NacuConfig};
-use nacu_engine::{Engine, EngineConfig, Fault, FaultPlan, FaultTolerance, InjectionSite, Request};
+use nacu_engine::{
+    Engine, EngineConfig, Fault, FaultPlan, FaultTolerance, InjectionSite, Request, Response,
+    Ticket,
+};
 use nacu_fixed::Fx;
 
 const FUNCTIONS: [Function; 3] = [Function::Sigmoid, Function::Tanh, Function::Exp];
@@ -18,6 +23,18 @@ const FUNCTIONS: [Function; 3] = [Function::Sigmoid, Function::Tanh, Function::E
 /// enough that the pool coalesces several requests per batch.
 const CHUNK: usize = 512;
 
+/// Softmax vector lengths of the inline proof.
+const SOFTMAX_LENGTHS: [usize; 4] = [1, 16, 32, 64];
+
+/// Which side of the serving rule an engine must answer from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// Inside `submit`: resolved on return, worker index = pool size.
+    Inline,
+    /// A pool worker: worker index < pool size.
+    Pool,
+}
+
 fn every_code(config: &NacuConfig) -> Vec<Fx> {
     let format = config.format;
     (format.min_raw()..=format.max_raw())
@@ -25,48 +42,166 @@ fn every_code(config: &NacuConfig) -> Vec<Fx> {
         .collect()
 }
 
+/// `per_length` seeded softmax vectors of each of [`SOFTMAX_LENGTHS`],
+/// drawn uniformly from the format's codes (splitmix64 on a fixed seed).
+fn seeded_vectors(config: &NacuConfig, per_length: usize) -> Vec<Vec<Fx>> {
+    let format = config.format;
+    let span = (format.max_raw() - format.min_raw() + 1) as u64;
+    let mut state: u64 = 0x5eed_0f5a_f7ad;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    SOFTMAX_LENGTHS
+        .iter()
+        .flat_map(|&len| std::iter::repeat_n(len, per_length))
+        .map(|len| {
+            (0..len)
+                .map(|_| {
+                    let raw = format.min_raw() + (next() % span) as i64;
+                    Fx::from_raw(raw, format).expect("code in range")
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A submitted request: answered by the time `submit` returned, or not.
+enum Answer {
+    Resolved(Response),
+    Pending(Ticket),
+}
+
+impl Answer {
+    fn response(self) -> Response {
+        match self {
+            Answer::Resolved(response) => response,
+            Answer::Pending(ticket) => ticket.wait().expect("served"),
+        }
+    }
+}
+
+/// Submits `request`; an inline engine must hand back a resolved ticket.
+fn submit(engine: &Engine, request: Request, path: Path) -> Answer {
+    let ticket = engine.submit(request).expect("queue sized for the sweep");
+    match path {
+        Path::Inline => Answer::Resolved(
+            ticket
+                .try_wait()
+                .expect("a healthy engine resolves the ticket inside submit")
+                .expect("served"),
+        ),
+        Path::Pool => Answer::Pending(ticket),
+    }
+}
+
+/// Checks that `worker` answered from `path`.
+fn assert_path(engine: &Engine, worker: usize, path: Path, what: &str) {
+    match path {
+        Path::Inline => assert_eq!(worker, engine.workers(), "{what} left the caller"),
+        Path::Pool => assert!(worker < engine.workers(), "{what} skipped the pool"),
+    }
+}
+
 /// Serves every code of every unary function through `engine` and
-/// checks each output against the golden unit; returns the worker
-/// indices that answered.
-fn sweep(engine: &Engine, golden: &Nacu, codes: &[Fx]) -> Vec<usize> {
-    let handle = engine.handle();
-    let mut workers = Vec::new();
+/// checks each output against the golden unit and its serving path.
+fn sweep(engine: &Engine, golden: &Nacu, codes: &[Fx], path: Path) {
     for function in FUNCTIONS {
         let tickets: Vec<_> = codes
             .chunks(CHUNK)
-            .map(|chunk| {
-                handle
-                    .submit(Request::new(function, chunk.to_vec()))
-                    .expect("queue sized for the whole sweep")
-            })
+            .map(|chunk| submit(engine, Request::new(function, chunk.to_vec()), path))
             .collect();
-        for (chunk, ticket) in codes.chunks(CHUNK).zip(tickets) {
-            let response = ticket.wait().expect("served");
+        for (chunk, answer) in codes.chunks(CHUNK).zip(tickets) {
+            let response = answer.response();
             let expected: Vec<Fx> = chunk.iter().map(|&x| golden.compute(function, x)).collect();
             assert_eq!(response.outputs, expected, "{function} diverged");
-            workers.push(response.worker);
+            assert_path(engine, response.worker, path, &function.to_string());
         }
     }
-    workers
+}
+
+/// Serves each vector as one softmax request through `engine`, in waves
+/// of at most half the queue so no submit meets `Busy`, and checks each
+/// against the golden `Nacu::softmax` and its serving path.
+fn softmax_sweep(engine: &Engine, golden: &Nacu, vectors: &[Vec<Fx>], path: Path) {
+    for wave in vectors.chunks(512) {
+        let tickets: Vec<_> = wave
+            .iter()
+            .map(|xs| submit(engine, Request::new(Function::Softmax, xs.clone()), path))
+            .collect();
+        for (xs, answer) in wave.iter().zip(tickets) {
+            let response = answer.response();
+            assert_eq!(
+                response.outputs,
+                golden.softmax(xs).expect("valid vector"),
+                "softmax diverged ({path:?})"
+            );
+            assert_path(engine, response.worker, path, "softmax");
+        }
+    }
 }
 
 fn engine(config: EngineConfig) -> Engine {
-    Engine::new(config.with_workers(2).with_queue_capacity(1024)).expect("paper config")
+    Engine::new(config.with_workers(2).with_queue_capacity(1024)).expect("valid config")
+}
+
+/// A fault plan on worker slot 1 that the address decoder can never
+/// reach (an entry past the ROM), so the slot is fault-planned, and its
+/// engine queues, while every answer stays golden.
+fn inert_plan(config: &NacuConfig) -> FaultTolerance {
+    let past_the_rom = config.lut_entries;
+    FaultTolerance {
+        plans: vec![
+            FaultPlan::new(),
+            FaultPlan::single(Fault::stuck_lut(
+                InjectionSite::LutBias,
+                past_the_rom,
+                0,
+                true,
+            )),
+        ],
+        ..FaultTolerance::default()
+    }
+}
+
+/// The inline proof at one width: every σ/tanh/exp code and seeded
+/// softmax vectors of every length in [`SOFTMAX_LENGTHS`], through a
+/// default engine. Every ticket is resolved when `submit` returns, every
+/// answer carries the pool size as worker, nothing ever queued, and every
+/// operand was served off the walk.
+fn assert_healthy_engine_computes_on_the_caller(config: NacuConfig) {
+    let golden = Nacu::new(config).expect("valid config");
+    let codes = every_code(&config);
+    let engine = engine(EngineConfig::new(config));
+    sweep(&engine, &golden, &codes, Path::Inline);
+    softmax_sweep(&engine, &golden, &seeded_vectors(&config, 64), Path::Inline);
+    let m = engine.shutdown();
+    assert_eq!(m.queue_depth_high_water, 0, "a healthy engine never queues");
+    assert_eq!(m.fast_path_ops, m.total_ops());
+    assert_eq!(
+        m.softmax_ops,
+        64 * SOFTMAX_LENGTHS.iter().sum::<usize>() as u64
+    );
 }
 
 #[test]
 fn inline_table_path_matches_the_datapath_for_every_code() {
-    let config = NacuConfig::paper_16bit();
-    let golden = Nacu::new(config).expect("paper config");
-    let codes = every_code(&config);
-    let engine = engine(EngineConfig::new(config));
-    let workers = sweep(&engine, &golden, &codes);
-    // Answered on the submitting thread: the inline worker index is the
-    // pool size, and nothing ever entered the queue.
-    assert!(workers.iter().all(|&w| w == engine.workers()));
-    let m = engine.shutdown();
-    assert_eq!(m.queue_depth_high_water, 0);
-    assert_eq!(m.fast_path_ops, 3 * codes.len() as u64);
+    assert_healthy_engine_computes_on_the_caller(NacuConfig::paper_16bit());
+}
+
+/// Past the table budget a healthy engine still computes on the caller,
+/// from the integer kernel.
+#[test]
+fn inline_kernel_path_matches_the_datapath_for_every_q4_15_code() {
+    let config = NacuConfig::for_width(20).expect("Eq. 7 solvable at 20 bits");
+    assert_eq!(
+        (config.format.int_bits(), config.format.frac_bits()),
+        (4, 15)
+    );
+    assert_healthy_engine_computes_on_the_caller(config);
 }
 
 #[test]
@@ -75,15 +210,14 @@ fn pool_datapath_matches_the_datapath_for_every_code() {
     let golden = Nacu::new(config).expect("paper config");
     let codes = every_code(&config);
     let engine = engine(EngineConfig::new(config).with_fast_path(false));
-    let workers = sweep(&engine, &golden, &codes);
-    assert!(workers.iter().all(|&w| w < engine.workers()));
+    sweep(&engine, &golden, &codes, Path::Pool);
     let m = engine.shutdown();
     assert!(m.queue_depth_high_water > 0);
     assert_eq!(m.fast_path_ops, 0);
 }
 
-/// Softmax always travels through the pool; a default engine's workers
-/// normalise it with their unit's kernel, a fast-path-off engine's walk
+/// Softmax on the pool: an engine with a fault plan (fast path on) and a
+/// fast-path-off engine both queue every vector, and their workers walk
 /// the datapath. Every code, as 16-element vectors, must match the
 /// sequential `Nacu::softmax` either way.
 #[test]
@@ -92,64 +226,67 @@ fn pool_softmax_matches_the_datapath_for_every_code() {
     let config = NacuConfig::paper_16bit();
     let golden = Nacu::new(config).expect("paper config");
     let codes = every_code(&config);
-    for fast in [true, false] {
-        let engine = engine(EngineConfig::new(config).with_fast_path(fast));
-        let handle = engine.handle();
-        // Waves of at most half the queue, so no submit meets `Busy`.
-        for wave in codes.chunks(VECTOR * 512) {
-            let tickets: Vec<_> = wave
-                .chunks(VECTOR)
-                .map(|xs| {
-                    handle
-                        .submit(Request::new(Function::Softmax, xs.to_vec()))
-                        .expect("queue sized for the wave")
-                })
-                .collect();
-            for (xs, ticket) in wave.chunks(VECTOR).zip(tickets) {
-                let response = ticket.wait().expect("served");
-                assert_eq!(
-                    response.outputs,
-                    golden.softmax(xs).expect("valid vector"),
-                    "softmax diverged (fast path {fast})"
-                );
-                assert!(
-                    response.worker < engine.workers(),
-                    "softmax skipped the pool"
-                );
-            }
-        }
-        let expected_fast_ops = if fast { codes.len() as u64 } else { 0 };
-        assert_eq!(engine.shutdown().fast_path_ops, expected_fast_ops);
+    let vectors: Vec<Vec<Fx>> = codes.chunks(VECTOR).map(<[Fx]>::to_vec).collect();
+    let queueing = [
+        EngineConfig::new(config).with_fault_tolerance(inert_plan(&config)),
+        EngineConfig::new(config).with_fast_path(false),
+    ];
+    for config in queueing {
+        let engine = engine(config);
+        softmax_sweep(&engine, &golden, &vectors, Path::Pool);
+        let m = engine.shutdown();
+        assert_eq!(m.fast_path_ops, 0, "a pool worker always walks");
+        assert_eq!(
+            m.faults_detected, 0,
+            "the plan is out of the decoder's reach"
+        );
     }
 }
 
 /// One worker slot with a fault plan keeps the whole engine on the pool,
-/// fast path on or not, so every request meets the detectors' workers.
+/// fast path on or not, and so does turning the fast path off: every
+/// request of all four functions meets the detectors' workers, at the
+/// paper's width and at Q4.15.
 #[test]
 fn an_engine_with_a_fault_plan_serves_through_the_pool() {
-    let config = NacuConfig::paper_16bit();
-    let golden = Nacu::new(config).expect("paper config");
-    // A stuck bit in an entry the probe below never addresses: the plan
-    // is armed but stays silent.
-    let plan = FaultPlan::single(Fault::stuck_lut(InjectionSite::LutBias, 20, 13, true));
-    let engine = engine(
-        EngineConfig::new(config).with_fault_tolerance(FaultTolerance {
-            plans: vec![FaultPlan::new(), plan],
-            ..FaultTolerance::default()
-        }),
-    );
-    let x = Fx::from_f64(0.0, config.format, nacu_fixed::Rounding::Nearest);
-    for function in FUNCTIONS {
-        let response = engine
-            .submit(Request::new(function, vec![x; 4]))
-            .expect("submit")
-            .wait()
-            .expect("served");
-        assert!(
-            response.worker < engine.workers(),
-            "{function} skipped the pool"
-        );
-        assert_eq!(response.outputs, vec![golden.compute(function, x); 4]);
+    for config in [
+        NacuConfig::paper_16bit(),
+        NacuConfig::for_width(20).expect("Eq. 7 solvable at 20 bits"),
+    ] {
+        let golden = Nacu::new(config).expect("valid config");
+        // A stuck bit in an entry the probe below never addresses: the
+        // plan is armed but stays silent.
+        let plan = FaultPlan::single(Fault::stuck_lut(InjectionSite::LutBias, 20, 13, true));
+        let queueing = [
+            EngineConfig::new(config).with_fault_tolerance(FaultTolerance {
+                plans: vec![FaultPlan::new(), plan],
+                ..FaultTolerance::default()
+            }),
+            EngineConfig::new(config).with_fast_path(false),
+        ];
+        for engine_config in queueing {
+            let engine = engine(engine_config);
+            let x = Fx::from_f64(0.0, config.format, nacu_fixed::Rounding::Nearest);
+            for function in FUNCTIONS.into_iter().chain([Function::Softmax]) {
+                let response = engine
+                    .submit(Request::new(function, vec![x; 4]))
+                    .expect("submit")
+                    .wait()
+                    .expect("served");
+                assert!(
+                    response.worker < engine.workers(),
+                    "{function} skipped the pool at {}",
+                    config.format
+                );
+                let expected = match function {
+                    Function::Softmax => golden.softmax(&[x; 4]).expect("valid vector"),
+                    _ => vec![golden.compute(function, x); 4],
+                };
+                assert_eq!(response.outputs, expected);
+            }
+            let m = engine.shutdown();
+            assert!(m.queue_depth_high_water > 0);
+            assert_eq!(m.fast_path_ops, 0, "a pool worker always walks");
+        }
     }
-    assert!(engine.shutdown().queue_depth_high_water > 0);
 }
