@@ -12,6 +12,11 @@
 //! always apply. The baseline is regenerated by redirecting `--out` onto
 //! the baseline path on a healthy commit.
 //!
+//! Every gate — bench completion, coverage, `--baseline` and
+//! `--fastpath-floor` — is evaluated and printed before the run exits,
+//! and the run fails if any of them failed, so a noisy baseline floor
+//! never hides the fast-path verdict.
+//!
 //! The `--out` record is written on *every* exit path, not just full
 //! success: fields accumulate as each bench completes, so a crash in the
 //! fault campaign still leaves the engine/net/replay numbers in the
@@ -170,164 +175,202 @@ fn main() -> ExitCode {
         }
         println!("wrote {path}");
     }
-    let report = match bench_result {
-        Ok(report) => report,
+    // Every gate is evaluated and reported before the verdict, so one
+    // failing gate never hides another's result.
+    let (benches_ok, report) = match bench_result {
+        Ok(report) => (true, report),
         Err(message) => {
             eprintln!("{message}");
-            return ExitCode::FAILURE;
+            (false, None)
         }
     };
+    let coverage_ok = coverage_gate(report.as_ref());
+    let baseline_ok = match baseline {
+        Some(_) if fastpath_only => {
+            println!("--fastpath-only: skipping the --baseline gate (those benches did not run)");
+            true
+        }
+        Some(path) => baseline_gate(&path, &record, threshold_pct),
+        None => true,
+    };
+    let fastpath_ok = fastpath_floor.is_none_or(|path| {
+        fastpath_gate(
+            &path,
+            &record,
+            ratchet_margin_pct,
+            fastpath_out.as_deref(),
+            ratchet_strict,
+        )
+    });
+    if benches_ok && coverage_ok && baseline_ok && fastpath_ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
 
-    // Correctness gates always apply (when the fault campaign ran at all).
-    if let Some(report) = &report {
-        if report.lut_coverage() < 0.99 {
+/// The correctness gate, which applies whenever the fault campaign ran:
+/// single-bit LUT detection coverage of at least 99%.
+fn coverage_gate(report: Option<&CampaignReport>) -> bool {
+    let Some(report) = report else {
+        return true;
+    };
+    if report.lut_coverage() < 0.99 {
+        eprintln!(
+            "FAIL: single-bit LUT coverage {:.4} below the 0.99 gate",
+            report.lut_coverage()
+        );
+        return false;
+    }
+    println!(
+        "OK: single-bit LUT coverage {:.4} (gate 0.99)",
+        report.lut_coverage()
+    );
+    true
+}
+
+/// The throughput gate against the committed baseline: every key of
+/// [`GATED_KEYS`] the baseline carries must reach `1 - threshold_pct`
+/// of it. Every key is checked and reported, pass or fail.
+fn baseline_gate(path: &str, record: &str, threshold_pct: f64) -> bool {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("failed to read baseline {path}: {e}");
+            return false;
+        }
+    };
+    let mut passed = true;
+    for key in GATED_KEYS {
+        let Some(base) = json_number(&text, key) else {
+            eprintln!("baseline {path} lacks \"{key}\" — skipping that gate");
+            continue;
+        };
+        let Some(now) = json_number(record, key) else {
+            eprintln!("fresh record lacks \"{key}\"");
+            passed = false;
+            continue;
+        };
+        let floor = base * (1.0 - threshold_pct / 100.0);
+        if now < floor {
             eprintln!(
-                "FAIL: single-bit LUT coverage {:.4} below the 0.99 gate",
-                report.lut_coverage()
+                "FAIL: {key} regressed {:.1}% ({now:.1} vs baseline {base:.1}, \
+                 floor {floor:.1})",
+                100.0 * (1.0 - now / base),
             );
-            return ExitCode::FAILURE;
+            passed = false;
+        } else {
+            println!("OK: {key} {now:.1} vs baseline {base:.1} (floor {floor:.1})");
         }
     }
+    passed
+}
 
-    // Throughput gate against the committed baseline.
-    if fastpath_only && baseline.is_some() {
-        println!("--fastpath-only: skipping the --baseline gate (those benches did not run)");
-    } else if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut failed = false;
-        for key in GATED_KEYS {
-            let Some(base) = json_number(&text, key) else {
-                eprintln!("baseline {path} lacks \"{key}\" — skipping that gate");
-                continue;
-            };
-            let Some(now) = json_number(&record, key) else {
-                eprintln!("fresh record lacks \"{key}\"");
-                failed = true;
-                continue;
-            };
-            let floor = base * (1.0 - threshold_pct / 100.0);
-            if now < floor {
-                eprintln!(
-                    "FAIL: {key} regressed {:.1}% ({now:.1} vs baseline {base:.1}, \
-                     floor {floor:.1})",
-                    100.0 * (1.0 - now / base),
-                );
-                failed = true;
-            } else {
-                println!("OK: {key} {now:.1} vs baseline {base:.1} (floor {floor:.1})");
-            }
+/// The fast-path speedup gate: σ, tanh and exp must reach the recorded
+/// ratio (default 2x) times the recorded datapath-only throughput from
+/// the committed floor file — and the gate ratchets upward when a fresh
+/// run's own fast/datapath ratio clears the recorded bar by more than the
+/// ratchet margin.
+fn fastpath_gate(
+    path: &str,
+    record: &str,
+    ratchet_margin_pct: f64,
+    fastpath_out: Option<&str>,
+    ratchet_strict: bool,
+) -> bool {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("failed to read fast-path floor {path}: {e}");
+            return false;
         }
-        if failed {
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Fast-path speedup gate: σ, tanh and exp must reach the recorded
-    // ratio (default 2x) times the recorded datapath-only throughput from
-    // the committed floor file — and the gate ratchets upward when a
-    // fresh run's own fast/datapath ratio clears the recorded bar by more
-    // than the ratchet margin.
-    if let Some(path) = fastpath_floor {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("failed to read fast-path floor {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    };
+    let mut failed = false;
+    let mut ratcheted = false;
+    let mut refreshed = String::from("{\n");
+    for name in ["sigmoid", "tanh", "exp"] {
+        let floor_key = format!("{name}_datapath_ops_per_sec");
+        let Some(recorded) = json_number(&text, &floor_key) else {
+            eprintln!("floor file {path} lacks \"{floor_key}\"");
+            failed = true;
+            continue;
         };
-        let mut failed = false;
-        let mut ratcheted = false;
-        let mut refreshed = String::from("{\n");
-        for name in ["sigmoid", "tanh", "exp"] {
-            let floor_key = format!("{name}_datapath_ops_per_sec");
-            let Some(recorded) = json_number(&text, &floor_key) else {
-                eprintln!("floor file {path} lacks \"{floor_key}\"");
-                failed = true;
-                continue;
-            };
-            let min_ratio = json_number(&text, &format!("{name}_min_ratio")).unwrap_or(2.0);
-            let fresh_key = format!("{name}_fast_ops_per_sec");
-            let Some(fresh) = json_number(&record, &fresh_key) else {
-                eprintln!("fresh record lacks \"{fresh_key}\"");
-                failed = true;
-                continue;
-            };
-            // Observed ratio uses fast and datapath from the *same* run —
-            // machine speed cancels, so it ratchets comparably across
-            // hosts where raw ops/s do not.
-            let fresh_datapath =
-                json_number(&record, &format!("{name}_datapath_ops_per_sec")).unwrap_or(0.0);
-            let observed_ratio = if fresh_datapath > 0.0 {
-                fresh / fresh_datapath
-            } else {
-                0.0
-            };
-            let floor = min_ratio * recorded;
-            let delta = fresh - floor;
-            if fresh < floor {
-                eprintln!(
-                    "FAIL: {fresh_key} {fresh:.1} below {min_ratio:.2}x recorded datapath \
-                     {recorded:.1} (floor {floor:.1}, delta {delta:+.1}, \
-                     observed {observed_ratio:.2}x)"
-                );
-                failed = true;
-                continue;
-            }
+        let min_ratio = json_number(&text, &format!("{name}_min_ratio")).unwrap_or(2.0);
+        let fresh_key = format!("{name}_fast_ops_per_sec");
+        let Some(fresh) = json_number(record, &fresh_key) else {
+            eprintln!("fresh record lacks \"{fresh_key}\"");
+            failed = true;
+            continue;
+        };
+        // Observed ratio uses fast and datapath from the *same* run —
+        // machine speed cancels, so it ratchets comparably across
+        // hosts where raw ops/s do not.
+        let fresh_datapath =
+            json_number(record, &format!("{name}_datapath_ops_per_sec")).unwrap_or(0.0);
+        let observed_ratio = if fresh_datapath > 0.0 {
+            fresh / fresh_datapath
+        } else {
+            0.0
+        };
+        let floor = min_ratio * recorded;
+        let delta = fresh - floor;
+        if fresh < floor {
+            eprintln!(
+                "FAIL: {fresh_key} {fresh:.1} below {min_ratio:.2}x recorded datapath \
+                 {recorded:.1} (floor {floor:.1}, delta {delta:+.1}, \
+                 observed {observed_ratio:.2}x)"
+            );
+            failed = true;
+            continue;
+        }
+        println!(
+            "OK: {fresh_key} {fresh:.1} >= floor {floor:.1} ({min_ratio:.2}x recorded \
+             datapath {recorded:.1}); delta {delta:+.1} ops/s ({:+.1}%), \
+             observed {observed_ratio:.2}x",
+            100.0 * delta / floor,
+        );
+        let trip = (1.0 + ratchet_margin_pct / 100.0) * min_ratio;
+        let (next_datapath, next_ratio) = if observed_ratio > trip {
+            ratcheted = true;
             println!(
-                "OK: {fresh_key} {fresh:.1} >= floor {floor:.1} ({min_ratio:.2}x recorded \
-                 datapath {recorded:.1}); delta {delta:+.1} ops/s ({:+.1}%), \
-                 observed {observed_ratio:.2}x",
-                100.0 * delta / floor,
+                "RATCHET: {name} observed {observed_ratio:.2}x exceeds recorded \
+                 {min_ratio:.2}x by >{ratchet_margin_pct:.0}%; proposing floor {:.2}x",
+                0.9 * observed_ratio
             );
-            let trip = (1.0 + ratchet_margin_pct / 100.0) * min_ratio;
-            let (next_datapath, next_ratio) = if observed_ratio > trip {
-                ratcheted = true;
-                println!(
-                    "RATCHET: {name} observed {observed_ratio:.2}x exceeds recorded \
-                     {min_ratio:.2}x by >{ratchet_margin_pct:.0}%; proposing floor {:.2}x",
-                    0.9 * observed_ratio
-                );
-                (fresh_datapath, 0.9 * observed_ratio)
-            } else {
-                (recorded, min_ratio)
-            };
-            refreshed.push_str(&format!(
-                "  \"{name}_datapath_ops_per_sec\": {next_datapath:.1},\n  \
-                 \"{name}_min_ratio\": {next_ratio:.2},\n"
-            ));
-        }
-        if failed {
-            return ExitCode::FAILURE;
-        }
-        if ratcheted {
-            // Close the JSON object (drop the trailing comma).
-            let refreshed = format!("{}\n}}\n", refreshed.trim_end().trim_end_matches(','));
-            if let Some(out_path) = &fastpath_out {
-                if let Err(e) = std::fs::write(out_path, &refreshed) {
-                    eprintln!("failed to write refreshed floor {out_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote refreshed fast-path floor to {out_path}");
-            } else {
-                println!("refreshed fast-path floor (pass --fastpath-out to save):");
-                print!("{refreshed}");
+            (fresh_datapath, 0.9 * observed_ratio)
+        } else {
+            (recorded, min_ratio)
+        };
+        refreshed.push_str(&format!(
+            "  \"{name}_datapath_ops_per_sec\": {next_datapath:.1},\n  \
+             \"{name}_min_ratio\": {next_ratio:.2},\n"
+        ));
+    }
+    if failed {
+        return false;
+    }
+    if ratcheted {
+        // Close the JSON object (drop the trailing comma).
+        let refreshed = format!("{}\n}}\n", refreshed.trim_end().trim_end_matches(','));
+        if let Some(out_path) = fastpath_out {
+            if let Err(e) = std::fs::write(out_path, &refreshed) {
+                eprintln!("failed to write refreshed floor {out_path}: {e}");
+                return false;
             }
-            if ratchet_strict {
-                eprintln!(
-                    "FAIL: fast-path floor {path} is stale — the measured speedup ratcheted \
-                     past it; commit the refreshed file (see --fastpath-out) to raise the floor"
-                );
-                return ExitCode::FAILURE;
-            }
+            println!("wrote refreshed fast-path floor to {out_path}");
+        } else {
+            println!("refreshed fast-path floor (pass --fastpath-out to save):");
+            print!("{refreshed}");
+        }
+        if ratchet_strict {
+            eprintln!(
+                "FAIL: fast-path floor {path} is stale — the measured speedup ratcheted \
+                 past it; commit the refreshed file (see --fastpath-out) to raise the floor"
+            );
+            return false;
         }
     }
-    ExitCode::SUCCESS
+    true
 }
 
 /// Runs every bench phase, pushing each completed phase's metrics into

@@ -12,7 +12,8 @@
 //! it against the committed golden trace (any divergence in training,
 //! quantisation, engine scheduling or the datapath shows up here), then
 //! replays the golden trace bit-for-bit across engine configurations
-//! that *should not* matter (pool width 1 vs 4, fast path on vs off),
+//! that *should not* matter (a healthy inline engine, and clean walking
+//! harnesses of 1 and 4 workers),
 //! over a live `nacu-net` socket, and finally against a deliberately
 //! perturbed engine (1-LSB LUT-bias flip) that *must* fail the diff —
 //! proving the gate can actually catch a numerical change. Failures are
@@ -34,7 +35,7 @@ use nacu_bench::replay_bench::{
     observable_bias_lsb_plan, perturbed_config, record_mixed_workload, replay_on_engine,
     replay_on_engine_paced, replay_on_net, WorkloadSpec,
 };
-use nacu_engine::{Engine, EngineConfig, TraceLog};
+use nacu_engine::{Engine, EngineConfig, FaultTolerance, TraceLog};
 use nacu_net::ServeNet;
 use nacu_replay::{diff_logs, render_report, ReplayError};
 
@@ -205,21 +206,23 @@ fn main() -> ExitCode {
 
     // 3. Replay across engine configurations that must not change bits.
     let mut replay_ops_per_sec = 0.0_f64;
-    let configs: &[(usize, bool)] = if smoke {
-        &[(1, false), (4, true)]
+    // `Some(n)`: a clean harness of `n` walking workers; `None`: inline.
+    let configs: &[Option<usize>] = if smoke {
+        &[Some(1), None]
     } else {
-        &[(1, false), (1, true), (4, false), (4, true)]
+        &[Some(1), Some(4), None]
     };
-    for &(workers, fast_path) in configs {
-        let label = format!(
-            "workers={workers} fast_path={}",
-            if fast_path { "on" } else { "off" }
-        );
-        let engine = match Engine::new(
-            base_config()
-                .with_workers(workers)
-                .with_fast_path(fast_path),
-        ) {
+    for &harness in configs {
+        let (label, config) = match harness {
+            Some(workers) => (
+                format!("harness workers={workers}"),
+                base_config()
+                    .with_workers(workers)
+                    .with_fault_tolerance(FaultTolerance::clean_harness(workers)),
+            ),
+            None => ("inline".to_string(), base_config()),
+        };
+        let engine = match Engine::new(config) {
             Ok(e) => e,
             Err(e) => {
                 failures.push(format!("replay engine ({label}) failed to build: {e}"));

@@ -1,12 +1,12 @@
 //! Engine throughput experiment: ops/s versus worker (shard) count.
 //!
 //! The serving-side counterpart of the §VII.C latency numbers: a fixed
-//! workload of coalescible activation requests is pushed through
-//! [`nacu_engine::Engine`] pools of increasing width by several client
-//! threads, and each pool's software throughput is measured next to the
-//! modeled hardware cycle count. The single-worker row is the sequential
-//! baseline; the acceptance gate for the engine PR is that wider pools
-//! scale ops/s above it.
+//! workload of coalescible activation requests is pushed through clean
+//! walking-harness [`nacu_engine::Engine`] pools of increasing width by
+//! several client threads, and each pool's software throughput is
+//! measured next to the modeled hardware cycle count. The single-worker
+//! row is the sequential baseline. (A healthy engine has no pool: it
+//! computes inline on the clients' threads.)
 
 use std::sync::Arc;
 use std::thread;
@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 
 use nacu::{Function, NacuConfig};
 use nacu_engine::{
-    Engine, EngineConfig, LatencyBudget, Request, SloSpec, Stage, SubmitError, ThroughputReport,
+    Engine, EngineConfig, FaultTolerance, LatencyBudget, Request, SloSpec, Stage, SubmitError,
+    ThroughputReport,
 };
 use nacu_fixed::{Fx, QFormat, Rounding};
 
@@ -243,9 +244,11 @@ pub fn telemetry_overhead(workload: Workload, interval: Duration, trials: usize)
 pub struct FastPathRow {
     /// Function under load.
     pub function: Function,
-    /// Best throughput with the response-table fast path enabled, ops/s.
+    /// Best throughput of a healthy engine, serving from the response
+    /// tables on the calling thread, ops/s.
     pub fast_ops_per_sec: f64,
-    /// Best throughput with the fast path disabled (datapath only), ops/s.
+    /// Best throughput of a clean walking harness (the same pool shape,
+    /// every operand along the checked datapath), ops/s.
     pub datapath_ops_per_sec: f64,
     /// Fast-path operands actually served from the tables in the fast run.
     pub fast_path_ops: u64,
@@ -262,9 +265,9 @@ impl FastPathRow {
     }
 }
 
-/// Measures `workload` per function with the response-table fast path on
-/// and off — same pool shape, same operands — keeping each side's best
-/// of `trials` interleaved runs. The `fast_path_ops` counter in the row
+/// Measures `workload` per function on a healthy engine (table fast path)
+/// and on a clean two-worker walking harness — same operands — keeping
+/// each side's best of `trials` interleaved runs. The `fast_path_ops` counter in the row
 /// proves the fast side really served from the tables (not a silently
 /// degraded datapath run).
 ///
@@ -289,13 +292,15 @@ pub fn fast_path_comparison(
             let mut fast_path_ops = 0u64;
             for _ in 0..trials.max(1) {
                 for fast in [false, true] {
-                    let engine = Engine::new(
-                        EngineConfig::new(NacuConfig::paper_16bit())
-                            .with_workers(2)
-                            .with_queue_capacity(512)
-                            .with_max_coalesced_requests(32)
-                            .with_fast_path(fast),
-                    )
+                    let config = EngineConfig::new(NacuConfig::paper_16bit())
+                        .with_workers(2)
+                        .with_queue_capacity(512)
+                        .with_max_coalesced_requests(32);
+                    let engine = Engine::new(if fast {
+                        config
+                    } else {
+                        config.with_fault_tolerance(FaultTolerance::clean_harness(2))
+                    })
                     .expect("paper config");
                     let row = drive(&engine, workload);
                     if fast {
@@ -508,7 +513,8 @@ pub fn queue_throughput(producers: usize, consumers: usize, items_per_producer: 
     }
 }
 
-/// Runs the scaling sweep: one engine per worker count, same workload.
+/// Runs the scaling sweep: one clean walking harness per worker count,
+/// same workload.
 ///
 /// # Panics
 ///
@@ -522,7 +528,8 @@ pub fn worker_scaling(worker_counts: &[usize], workload: Workload) -> Vec<Scalin
                 EngineConfig::new(NacuConfig::paper_16bit())
                     .with_workers(workers)
                     .with_queue_capacity(512)
-                    .with_max_coalesced_requests(32),
+                    .with_max_coalesced_requests(32)
+                    .with_fault_tolerance(FaultTolerance::clean_harness(workers)),
             )
             .expect("paper config");
             let row = drive(&engine, workload);

@@ -16,7 +16,7 @@ use std::thread;
 use std::time::Instant;
 
 use nacu::{Function, NacuConfig};
-use nacu_engine::{Engine, EngineConfig, Request, SubmitError};
+use nacu_engine::{Engine, EngineConfig, FaultTolerance, Request, SubmitError};
 use nacu_fixed::{Fx, QFormat, Rounding};
 use nacu_net::{NetClient, NetConfig, Quota, ServeNet, Status};
 
@@ -206,7 +206,7 @@ pub struct AdmissionDemo {
 ///   before enqueueing.
 /// * **QUOTA** — a `burst = 2` token bucket, then more than two
 ///   back-to-back calls from one client.
-/// * **BUSY** — a 1-worker, capacity-1-queue engine (fast path off) is
+/// * **BUSY** — a 1-worker, capacity-1-queue clean harness engine is
 ///   pinned by a huge datapath softmax; with the queue topped up
 ///   in-process, a wire request has nowhere to go.
 ///
@@ -274,7 +274,7 @@ pub fn admission_demo() -> AdmissionDemo {
             EngineConfig::new(NacuConfig::paper_16bit())
                 .with_workers(1)
                 .with_queue_capacity(1)
-                .with_fast_path(false),
+                .with_fault_tolerance(FaultTolerance::clean_harness(1)),
         )
         .expect("paper config");
         let mut server = engine.handle().serve_net("127.0.0.1:0").expect("bind");

@@ -446,8 +446,8 @@ pub fn observable_bias_lsb_plan(config: NacuConfig, log: &TraceLog) -> Option<Fa
 }
 
 /// An engine configuration that *must* fail the replay diff: one worker
-/// carrying `plan` (a non-empty plan withholds the fast-path tables, so
-/// the perturbed datapath actually serves), detectors disarmed so the
+/// carrying `plan` (any plan makes the walking harness, so the perturbed
+/// datapath actually serves), detectors disarmed so the
 /// corrupt outputs escape, and no retries to mask them.
 #[must_use]
 pub fn perturbed_config(base: EngineConfig, plan: FaultPlan) -> EngineConfig {
@@ -494,8 +494,10 @@ mod tests {
     fn trace_replays_bit_identically_across_configs() {
         let log = record_mixed_workload(WorkloadSpec::tiny(), base());
         for config in [
-            base().with_workers(1).with_fast_path(false),
-            base().with_workers(4).with_fast_path(true),
+            base()
+                .with_workers(1)
+                .with_fault_tolerance(FaultTolerance::clean_harness(1)),
+            base(),
         ] {
             let engine = Engine::new(config).expect("replay engine");
             let outcome = replay_on_engine(&log, &engine.handle(), 16).expect("replay runs");

@@ -108,8 +108,9 @@ pub struct Response {
     /// to evaluating the same operands on a sequential [`nacu::Nacu`] with
     /// the engine's configuration.
     pub outputs: Vec<Fx>,
-    /// Index of the pool worker (and therefore NACU unit) that served it;
-    /// the pool size for a request served inline by `submit`.
+    /// Index of the pool worker (and therefore NACU unit) that served it,
+    /// or [`Response::INLINE`] for a request a healthy engine computed
+    /// inside `submit`.
     pub worker: usize,
     /// Total operands in the fused hardware batch this request rode in
     /// (≥ `outputs.len()`; larger means coalescing happened).
@@ -117,6 +118,14 @@ pub struct Response {
     /// Modeled cycles for that whole fused batch on one NACU pipeline
     /// (see [`crate::report::modeled_batch_cycles`]).
     pub batch_cycles: u64,
+}
+
+impl Response {
+    /// The [`Response::worker`] of a request served inline, on the
+    /// submitting thread, by a healthy engine — which has no workers (its
+    /// `workers()` is 0). Trace events of inline service carry it as
+    /// `u32::MAX`.
+    pub const INLINE: usize = usize::MAX;
 }
 
 /// Why a submitted request produced no result.

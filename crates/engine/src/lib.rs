@@ -2,35 +2,45 @@
 //! bit-accurate NACU model.
 //!
 //! The paper positions NACU as the shared non-linear unit of a fabric
-//! serving "any mix of ANNs and SNNs"; this crate models the *serving*
-//! side of that fabric as a production-shaped runtime built only on `std`:
+//! serving "any mix of ANNs and SNNs": a functional unit the datapath
+//! calls in line, not a server behind a queue. This crate models the
+//! serving side of that fabric, built only on `std`, with one rule —
+//! an engine configured with no fault plan is healthy, and a healthy
+//! engine is threadless:
 //!
 //! ```text
-//! clients ──submit──▶ bounded queue ──coalesce──▶ sharded NACU pool ──▶ tickets
-//!              │                                        │
-//!            Busy (backpressure)                 per-worker Nacu unit
+//! healthy    clients ──submit──▶ table gather / integer kernel ──▶ ready ticket
+//!            (no fault plan)     (on the calling thread)
+//!
+//! harness    clients ──submit──▶ bounded queue ──coalesce──▶ walking NACU pool ──▶ ticket
+//!            (any fault plan)         │                        │
+//!                              Busy (backpressure)     per-worker CheckedNacu
 //! ```
 //!
-//! * Healthy engines compute on the caller; the pool walks and is the
-//!   fault harness. With the fast path on (see
-//!   [`EngineConfig::use_fast_path`]) and no worker slot carrying a fault
-//!   plan, [`Engine::submit`] serves every [`Request`] (σ/tanh/exp batch
-//!   or softmax vector) on the calling thread — from the response tables
-//!   or the integer kernel — and returns an already-resolved [`Ticket`].
-//! * Every other engine pushes each request into a **bounded** queue; a
-//!   full queue answers [`SubmitError::Busy`] instead of growing without
+//! * A **healthy** engine ([`FaultTolerance::plans`] empty, the default)
+//!   serves every [`Request`] (σ/tanh/exp batch or softmax vector) inside
+//!   [`Engine::submit`], on the calling thread — from the response tables
+//!   or the integer kernel — and returns a [`Ticket`] that already holds
+//!   the result. It builds its tables and nothing else: no queue, no
+//!   health flags, no worker threads, and its responses carry
+//!   [`Response::INLINE`] as worker.
+//! * Any fault plan, all-empty ones included
+//!   ([`FaultTolerance::clean_harness`]), makes the **walking fault
+//!   harness**. It pushes each request into a **bounded** queue; a full
+//!   queue answers [`SubmitError::Busy`] instead of growing without
 //!   limit. Workers pop *runs* of same-function scalar requests and fuse
 //!   them into one pipelined hardware batch, paying the Table I fill
-//!   latency once (see [`report::modeled_batch_cycles`]).
-//! * Every worker owns a private checked [`Nacu`] built from the shared
-//!   [`NacuConfig`] and walks it, with the fault detectors on its nets;
-//!   construction is deterministic, so pool results are **bit-identical**
-//!   to the sequential datapath, and so are the inline ones.
-//! * [`Engine::metrics`] snapshots live counters without stopping the
-//!   pool; [`Engine::report_since`] converts an interval into a
+//!   latency once (see [`report::modeled_batch_cycles`]). Every worker
+//!   owns a private checked [`Nacu`] built from the shared
+//!   [`NacuConfig`] and walks it, with the fault detectors on its nets.
+//! * Unit construction is deterministic, and the kernel and tables are
+//!   proven equal to the walk, so both paths are **bit-identical** to the
+//!   sequential datapath.
+//! * [`Engine::metrics`] snapshots live counters without stopping
+//!   anything; [`Engine::report_since`] converts an interval into a
 //!   [`ThroughputReport`] of software ops/s next to modeled hardware
 //!   cycles.
-//! * Workers shadow-sample served operands against an `f64` reference
+//! * Both paths shadow-sample served operands against an `f64` reference
 //!   (Eq. 7 / Eq. 16 drift monitoring, see [`HealthConfig`]), and
 //!   [`EngineHandle::serve_obs`] exposes everything over a std-only
 //!   HTTP scrape server (`/metrics`, `/metrics.json`, `/health`,
@@ -40,11 +50,11 @@
 //!
 //! ```
 //! use nacu::{Function, NacuConfig};
-//! use nacu_engine::{Engine, EngineConfig, Request};
+//! use nacu_engine::{Engine, EngineConfig, Request, Response};
 //! use nacu_fixed::{Fx, Rounding};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let engine = Engine::new(EngineConfig::new(NacuConfig::paper_16bit()).with_workers(2))?;
+//! let engine = Engine::new(EngineConfig::new(NacuConfig::paper_16bit()))?;
 //! let fmt = engine.format();
 //! let xs: Vec<Fx> = (-3..=3)
 //!     .map(|i| Fx::from_f64(f64::from(i) * 0.5, fmt, Rounding::Nearest))
@@ -52,6 +62,8 @@
 //! let ticket = engine.submit(Request::new(Function::Sigmoid, xs.clone()))?;
 //! let response = ticket.wait()?;
 //! assert_eq!(response.outputs.len(), xs.len());
+//! assert_eq!(response.worker, Response::INLINE, "computed inside submit");
+//! assert_eq!(engine.workers(), 0, "a healthy engine starts no thread");
 //! engine.shutdown();
 //! # Ok(())
 //! # }
@@ -67,6 +79,7 @@ pub mod wake;
 mod pool;
 
 use std::sync::Arc;
+use std::task::{Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,7 +98,7 @@ pub use wake::{Completer, TicketFuture};
 // nacu-faults directly.
 pub use nacu_faults::{DetectorSet, Fault, FaultEvent, FaultKind, FaultPlan, InjectionSite};
 
-use pool::{Inline, Job, PoolShared};
+use pool::{Books, Harness, Inline, Job};
 use queue::{BoundedQueue, PushError};
 
 // The record/replay surface is re-exported so engine clients can drain
@@ -105,8 +118,13 @@ pub struct FaultTolerance {
     /// Detectors every worker arms.
     pub detectors: DetectorSet,
     /// Fault plan for worker *i* (`plans[i]`); missing slots are clean.
-    /// Production engines leave this empty — it exists so tests and the
-    /// fault campaign can break specific units on purpose.
+    ///
+    /// This list decides how the engine serves. Empty — the default, and
+    /// production — makes a healthy engine that computes every request
+    /// inline, with no queue and no worker threads. Any plan at all,
+    /// all-empty ones included (see [`FaultTolerance::clean_harness`]),
+    /// makes the walking fault harness, so tests and the fault campaign
+    /// can exercise the pool or break specific units on purpose.
     pub plans: Vec<FaultPlan>,
 }
 
@@ -122,6 +140,17 @@ impl Default for FaultTolerance {
 }
 
 impl FaultTolerance {
+    /// The default policy with `workers` empty plans: a harness engine
+    /// whose pool walks the checked datapath with no fault armed. Pair it
+    /// with [`EngineConfig::with_workers`] for the pool width.
+    #[must_use]
+    pub fn clean_harness(workers: usize) -> Self {
+        Self {
+            plans: vec![FaultPlan::new(); workers.max(1)],
+            ..Self::default()
+        }
+    }
+
     /// The plan for one worker slot (clean when unspecified).
     #[must_use]
     pub fn plan_for(&self, worker: usize) -> FaultPlan {
@@ -132,40 +161,30 @@ impl FaultTolerance {
 /// Engine sizing and policy knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Configuration every pool worker builds its NACU unit from.
+    /// Configuration the engine's NACU units are built from.
     pub nacu: NacuConfig,
-    /// Worker threads (= NACU shards). Clamped to ≥ 1.
+    /// Harness worker threads (= NACU shards). Clamped to ≥ 1. A healthy
+    /// engine (no fault plan) starts none and ignores this.
     pub workers: usize,
-    /// Bounded submission-queue capacity in *requests*. Clamped to ≥ 1.
+    /// Harness submission-queue capacity in *requests*. Clamped to ≥ 1.
     pub queue_capacity: usize,
-    /// Most requests one worker fuses into a single hardware batch.
+    /// Most requests one harness worker fuses into a single hardware
+    /// batch.
     pub max_coalesced_requests: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
     /// Fault detection, quarantine and retry policy.
     pub fault_tolerance: FaultTolerance,
     /// Shadow-reference sampling interval for the numerical-health
-    /// monitor: every worker recomputes roughly 1 in this many served
+    /// monitor: the engine recomputes roughly 1 in this many served
     /// operands in `f64` and checks the error against the paper's Eq. 7
     /// bound (0 disables sampling entirely).
     pub health_sample_every: u64,
-    /// Serve every request on the submitting thread without walking the
-    /// checked datapath per operand: σ/tanh/exp from precomputed response
-    /// tables ([`nacu::ResponseTables`], built once at engine start) where
-    /// the format fits the table budget
-    /// (≤ [`nacu::ResponseTables::MAX_TABLE_BITS`] bits), from the integer
-    /// kernel ([`Nacu::kernel_in_place`]) where it does not, and softmax
-    /// from the kernel ([`Nacu::kernel_softmax`]). Both are bit-identical
-    /// to the walk, which stays the golden reference. Engages only when no
-    /// worker slot carries an injected fault plan. Otherwise, or with it
-    /// off, every request is queued and a pool worker walks its checked
-    /// unit: the fault harness.
-    pub use_fast_path: bool,
     /// Capacity (in in-flight records) of the trace recorder, 0 to run
     /// unrecorded (the default). With a capacity set, the engine taps its
     /// submit and reply paths into a bounded, drop-counted
     /// [`nacu_replay::Recorder`]: operands are captured at submission
-    /// (before the fast path can overwrite them in place), responses at
+    /// (before the inline path can overwrite them in place), responses at
     /// reply, and [`EngineHandle::recorder`] drains the completed records
     /// as a [`nacu_replay::TraceLog`]. Only engages for formats whose
     /// codes fit the log's i16 fields (≤ 16 bits); wider engines run
@@ -197,7 +216,6 @@ impl EngineConfig {
             default_deadline: None,
             fault_tolerance: FaultTolerance::default(),
             health_sample_every: nacu_obs::DEFAULT_SAMPLE_EVERY,
-            use_fast_path: true,
             record_capacity: 0,
             telemetry_interval: None,
             slos: Vec::new(),
@@ -243,14 +261,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_health_sampling(mut self, every: u64) -> Self {
         self.health_sample_every = every;
-        self
-    }
-
-    /// Enables or disables the inline fast path (on by default; see
-    /// [`EngineConfig::use_fast_path`]).
-    #[must_use]
-    pub fn with_fast_path(mut self, enabled: bool) -> Self {
-        self.use_fast_path = enabled;
         self
     }
 
@@ -396,24 +406,68 @@ impl From<RequestError> for WaitError {
     }
 }
 
-/// A claim on one in-flight request's eventual response.
+/// A claim on one request's response.
 ///
-/// Three consumption shapes share one lock-free completion slot (see
-/// [`wake`]): blocking ([`Ticket::wait`] / [`Ticket::wait_timeout`], thin
-/// wrappers over [`wake::block_on`]), polling ([`Ticket::try_wait`]), and
-/// asynchronous — `Ticket` implements [`std::future::IntoFuture`], so
+/// A healthy engine computes the request inside [`EngineHandle::submit`],
+/// so its ticket already holds the result: [`Ticket::wait`],
+/// [`Ticket::try_wait`] and `.await` return it without parking or
+/// allocating. A harness engine's ticket waits on a one-shot completion
+/// slot (see [`wake`]) that its pool worker fills, consumed in one of
+/// three shapes: blocking ([`Ticket::wait`] / [`Ticket::wait_timeout`],
+/// thin wrappers over [`wake::block_on`]), polling ([`Ticket::try_wait`]),
+/// and asynchronous — `Ticket` implements [`std::future::IntoFuture`], so
 /// `ticket.await` works under any executor, and the waker it registers
 /// runs on whichever thread completes the request.
-///
-/// A healthy engine's request completes inside [`EngineHandle::submit`],
-/// so its ticket is already resolved when the caller receives it.
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) slot: Arc<wake::Slot<wake::ReplyResult>>,
+    pub(crate) outcome: Outcome,
     pub(crate) req: u64,
 }
 
+/// Where a ticket's result lives.
+pub(crate) enum Outcome {
+    /// Computed inside `submit`; `None` once claimed.
+    Ready(std::cell::Cell<Option<wake::ReplyResult>>),
+    /// Queued for a pool worker, which completes the slot.
+    Pending(Arc<wake::Slot<wake::ReplyResult>>),
+}
+
+impl std::fmt::Debug for Outcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Ready(_) => f.write_str("Ready"),
+            Self::Pending(slot) => f.debug_tuple("Pending").field(slot).finish(),
+        }
+    }
+}
+
 impl Ticket {
+    /// A ticket holding an already computed outcome.
+    fn ready(req: u64, result: wake::ReplyResult) -> Self {
+        Self {
+            outcome: Outcome::Ready(std::cell::Cell::new(Some(result))),
+            req,
+        }
+    }
+
+    /// Claims the outcome if it is there; otherwise registers `waker`
+    /// (when given) on a pending ticket. A second claim answers
+    /// [`WaitError::EngineShutDown`], mirroring the disconnected-channel
+    /// semantics this API had before the waker slot.
+    pub(crate) fn poll_outcome(&self, waker: Option<&Waker>) -> Poll<Result<Response, WaitError>> {
+        let claimed = match &self.outcome {
+            Outcome::Ready(cell) => cell.take(),
+            Outcome::Pending(slot) => match slot.poll_value(waker) {
+                Poll::Pending => return Poll::Pending,
+                Poll::Ready(claimed) => claimed,
+            },
+        };
+        Poll::Ready(match claimed {
+            Some(result) => result.map_err(WaitError::from),
+            None => Err(WaitError::EngineShutDown),
+        })
+    }
+
     /// The request id threaded through the flight recorder: `submit`,
     /// `reply`, `retry` and `expired` trace events for this request all
     /// carry it, so one request's life can be followed through a drained
@@ -423,15 +477,19 @@ impl Ticket {
         self.req
     }
 
-    /// Blocks until the response arrives (or the engine dies), by
-    /// parking the calling thread behind a registered waker — no
-    /// polling, one wakeup.
+    /// Returns the response: at once for a healthy engine's ticket, and
+    /// otherwise by parking the calling thread behind a registered waker
+    /// until the worker answers (or the engine dies) — no polling, one
+    /// wakeup.
     ///
     /// # Errors
     ///
     /// [`WaitError::DeadlineExpired`] or [`WaitError::EngineShutDown`].
     pub fn wait(self) -> Result<Response, WaitError> {
-        wake::block_on(std::future::IntoFuture::into_future(self))
+        match self.poll_outcome(None) {
+            Poll::Ready(outcome) => outcome,
+            Poll::Pending => wake::block_on(std::future::IntoFuture::into_future(self)),
+        }
     }
 
     /// Blocks up to `timeout` for the response. On timeout the ticket is
@@ -442,6 +500,9 @@ impl Ticket {
     ///
     /// As [`Ticket::wait`], plus [`WaitError::Timeout`].
     pub fn wait_timeout(self, timeout: Duration) -> Result<Response, WaitError> {
+        if let Poll::Ready(outcome) = self.poll_outcome(None) {
+            return outcome;
+        }
         let deadline = Instant::now() + timeout;
         wake::block_on_deadline(std::future::IntoFuture::into_future(self), deadline)
             .unwrap_or(Err(WaitError::Timeout))
@@ -452,11 +513,9 @@ impl Ticket {
     /// calls see [`WaitError::EngineShutDown`], mirroring the
     /// disconnected-channel semantics this API had before the waker slot.
     pub fn try_wait(&self) -> Option<Result<Response, WaitError>> {
-        match self.slot.poll_value(None) {
-            std::task::Poll::Pending => None,
-            std::task::Poll::Ready(Some(Ok(response))) => Some(Ok(response)),
-            std::task::Poll::Ready(Some(Err(e))) => Some(Err(e.into())),
-            std::task::Poll::Ready(None) => Some(Err(WaitError::EngineShutDown)),
+        match self.poll_outcome(None) {
+            Poll::Pending => None,
+            Poll::Ready(outcome) => Some(outcome),
         }
     }
 
@@ -480,13 +539,10 @@ impl std::future::IntoFuture for Ticket {
 
 #[derive(Debug)]
 struct Shared {
-    /// Queue, counters, observability, health flags and recorder — the
-    /// state the workers serve from, and the inline path too.
-    pool: Arc<PoolShared>,
-    /// What `submit` serves every request with on the calling thread:
-    /// present when the fast path is on and no worker slot carries a
-    /// fault plan, `None` when every request goes to the pool.
-    inline: Option<Inline>,
+    /// Counters, observability and recorder, which both serving paths
+    /// account into.
+    books: Books,
+    serve: Serve,
     format: QFormat,
     default_deadline: Option<Duration>,
     /// Monotone request-id source; ids start at 1 so 0 can mean "no id".
@@ -496,13 +552,32 @@ struct Shared {
     telemetry: Option<Arc<Telemetry>>,
 }
 
+/// How an engine serves: the one rule is that an engine configured with
+/// no fault plan at all is healthy.
+#[derive(Debug)]
+enum Serve {
+    /// A healthy engine: every request is computed inside `submit`, on
+    /// the caller's thread. No queue, no health flags, no workers.
+    Inline(Inline),
+    /// The walking fault harness: a bounded queue feeding worker threads
+    /// that walk their checked units.
+    Harness(Arc<Harness>),
+}
+
 impl Shared {
+    /// Worker threads: 0 for an inline engine.
+    fn workers(&self) -> usize {
+        match &self.serve {
+            Serve::Inline(_) => 0,
+            Serve::Harness(harness) => harness.health.len(),
+        }
+    }
+
     fn healthy_workers(&self) -> usize {
-        self.pool
-            .health
-            .iter()
-            .filter(|h| h.load(Ordering::Acquire))
-            .count()
+        match &self.serve {
+            Serve::Inline(_) => 0,
+            Serve::Harness(harness) => harness.healthy_workers(),
+        }
     }
 }
 
@@ -523,17 +598,18 @@ impl EngineHandle {
 
     /// Submits a request, returning a [`Ticket`] for its response.
     ///
-    /// A healthy engine (fast path on, no worker slot with a fault plan)
-    /// serves every request here, on the calling thread, before this
-    /// returns: σ/tanh/exp from the response table or the integer kernel,
-    /// softmax from the kernel, at every width. Every other engine queues
-    /// every request for the pool, whose workers walk the checked datapath.
+    /// A healthy engine (no fault plan configured) serves the request
+    /// here, on the calling thread, before this returns: σ/tanh/exp from
+    /// the response table or the integer kernel, softmax from the kernel,
+    /// at every width; the ticket already holds the result. A harness
+    /// engine queues every request for the pool, whose workers walk the
+    /// checked datapath.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Invalid`] for malformed requests,
-    /// [`SubmitError::Busy`] when the bounded queue is full (backpressure —
-    /// nothing was enqueued; healthy engines never queue),
+    /// [`SubmitError::Busy`] when a harness engine's bounded queue is full
+    /// (backpressure — nothing was enqueued; healthy engines never queue),
     /// [`SubmitError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, mut request: Request) -> Result<Ticket, SubmitError> {
         if matches!(request.function, Function::Mac) {
@@ -555,95 +631,87 @@ impl EngineHandle {
         if request.deadline.is_none() {
             request.deadline = self.shared.default_deadline.map(|d| Instant::now() + d);
         }
-        let function = request.function;
-        let ops = request.operands.len();
-        let conn = request.client;
+        let books = &self.shared.books;
         let req = self.shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
-        // Claim the trace-record slot BEFORE the push: the fast path
-        // overwrites the operand buffer in place and hands it to the
-        // client as the response, so submission is the only point where
-        // the operands are reliably themselves.
-        let record = match &self.shared.pool.recorder {
-            Some(recorder) => {
-                let deadline_micros = request.deadline.map_or(0, |d| {
-                    u64::try_from(d.saturating_duration_since(Instant::now()).as_micros())
-                        .unwrap_or(u64::MAX)
-                });
-                let slot = recorder.begin(
-                    req,
-                    function,
-                    deadline_micros,
-                    conn,
-                    request.operands.iter().map(|x| x.raw() as i16),
-                );
-                if slot == NO_RECORD_SLOT {
-                    self.shared
-                        .pool
-                        .metrics
-                        .add(Counter::ReplayRecordsDropped, 1);
+        match &self.shared.serve {
+            // The checks above are the ones the inline steps rely on (one
+            // format, non-empty, no MAC).
+            Serve::Inline(inline) => {
+                if inline.closed.load(Ordering::Acquire) {
+                    return Err(SubmitError::ShuttingDown);
                 }
-                slot
+                let record = self.begin_record(req, &request);
+                self.accepted(submit_event(req, &request));
+                let outcome =
+                    pool::serve_inline(books, inline, req, request, Instant::now(), record);
+                Ok(Ticket::ready(req, outcome))
             }
-            None => NO_RECORD_SLOT,
-        };
-        let (ticket, reply) = wake::pair(req);
-        let job = Job {
-            id: req,
-            request,
-            reply,
-            retries: 0,
-            submitted_at: Instant::now(),
-            record,
-        };
-        let pool = &self.shared.pool;
-        let accepted = || {
-            pool.metrics.add(Counter::RequestsSubmitted, 1);
-            pool.obs.record_trace(TraceKind::Submit {
-                req,
-                conn,
-                function,
-                ops: ops.min(u32::MAX as usize) as u32,
-            });
-        };
-        // A healthy engine answers here, on the calling thread: a table
-        // gather or a kernel pass is cheaper than the hand-off to a worker
-        // and back. The checks above are the ones the inline steps rely on
-        // (one format, non-empty, no MAC).
-        if let Some(inline) = &self.shared.inline {
-            if pool.queue.is_closed() {
-                self.abandon_record(job.record);
-                return Err(SubmitError::ShuttingDown);
-            }
-            accepted();
-            crate::pool::serve_inline(pool, inline, job);
-            return Ok(ticket);
-        }
-        match pool.queue.try_push(job) {
-            Ok(depth) => {
-                pool.metrics.max(Counter::QueueDepthHighWater, depth as u64);
-                accepted();
-                Ok(ticket)
-            }
-            Err(PushError::Full(job)) => {
-                self.abandon_record(job.record);
-                pool.metrics.add(Counter::BusyRejections, 1);
-                Err(SubmitError::Busy {
-                    capacity: pool.queue.capacity(),
-                })
-            }
-            Err(PushError::Closed(job)) => {
-                self.abandon_record(job.record);
-                Err(SubmitError::ShuttingDown)
+            Serve::Harness(harness) => {
+                let record = self.begin_record(req, &request);
+                let submitted = submit_event(req, &request);
+                let (ticket, reply) = wake::pair(req);
+                let job = Job {
+                    id: req,
+                    request,
+                    reply,
+                    retries: 0,
+                    submitted_at: Instant::now(),
+                    record,
+                };
+                match harness.queue.try_push(job) {
+                    Ok(depth) => {
+                        books
+                            .metrics
+                            .max(Counter::QueueDepthHighWater, depth as u64);
+                        self.accepted(submitted);
+                        Ok(ticket)
+                    }
+                    Err(PushError::Full(job)) => {
+                        books.abandon_record(job.record);
+                        books.metrics.add(Counter::BusyRejections, 1);
+                        Err(SubmitError::Busy {
+                            capacity: harness.queue.capacity(),
+                        })
+                    }
+                    Err(PushError::Closed(job)) => {
+                        books.abandon_record(job.record);
+                        Err(SubmitError::ShuttingDown)
+                    }
+                }
             }
         }
     }
 
-    /// Releases a claimed trace-record slot for a request that never made
-    /// it into the queue.
-    fn abandon_record(&self, slot: u32) {
-        if let Some(recorder) = &self.shared.pool.recorder {
-            recorder.abandon(slot);
+    /// Claims the request's trace-record slot, before anything serves it:
+    /// the inline path overwrites the operand buffer in place and hands
+    /// it to the client as the response, so submission is the only point
+    /// where the operands are reliably themselves.
+    fn begin_record(&self, req: u64, request: &Request) -> u32 {
+        let books = &self.shared.books;
+        let Some(recorder) = &books.recorder else {
+            return NO_RECORD_SLOT;
+        };
+        let deadline_micros = request.deadline.map_or(0, |d| {
+            u64::try_from(d.saturating_duration_since(Instant::now()).as_micros())
+                .unwrap_or(u64::MAX)
+        });
+        let slot = recorder.begin(
+            req,
+            request.function,
+            deadline_micros,
+            request.client,
+            request.operands.iter().map(|x| x.raw() as i16),
+        );
+        if slot == NO_RECORD_SLOT {
+            books.metrics.add(Counter::ReplayRecordsDropped, 1);
         }
+        slot
+    }
+
+    /// Counts an accepted submission and records its `submit` event.
+    fn accepted(&self, submitted: TraceKind) {
+        self.shared.books.metrics.add(Counter::RequestsSubmitted, 1);
+        self.shared.books.obs.record_trace(submitted);
     }
 
     /// The engine's windowed-telemetry plane — present when the engine
@@ -662,7 +730,7 @@ impl EngineHandle {
     /// [`Recorder::take_log`] (after quiescing, for a complete capture).
     #[must_use]
     pub fn recorder(&self) -> Option<Arc<Recorder>> {
-        self.shared.pool.recorder.clone()
+        self.shared.books.recorder.clone()
     }
 
     /// Submit + wait in one call, for synchronous callers.
@@ -680,7 +748,7 @@ impl EngineHandle {
     /// Live counter snapshot.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.pool.metrics.snapshot()
+        self.shared.books.metrics.snapshot()
     }
 
     /// The engine's live observability surface (histograms, trace ring,
@@ -688,7 +756,7 @@ impl EngineHandle {
     /// and drain/snapshot while the pool serves.
     #[must_use]
     pub fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.shared.pool.obs)
+        Arc::clone(&self.shared.books.obs)
     }
 
     /// The engine's live counter set, for front-ends that account events
@@ -698,16 +766,19 @@ impl EngineHandle {
     /// serving counters.
     #[must_use]
     pub fn live_metrics(&self) -> Arc<EngineMetrics> {
-        Arc::clone(&self.shared.pool.metrics)
+        Arc::clone(&self.shared.books.metrics)
     }
 
-    /// Worker (shard) count, healthy or not.
+    /// Worker (shard) threads, healthy or not: 0 for a healthy engine,
+    /// which computes inline and whose responses carry
+    /// [`Response::INLINE`].
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.shared.pool.health.len()
+        self.shared.workers()
     }
 
-    /// Workers still in service (not quarantined by a detector event).
+    /// Workers still in service (not quarantined by a detector event): 0
+    /// for a healthy engine, which has none to quarantine.
     #[must_use]
     pub fn healthy_workers(&self) -> usize {
         self.shared.healthy_workers()
@@ -732,6 +803,16 @@ impl EngineHandle {
     }
 }
 
+/// The `submit` trace event of an accepted request.
+fn submit_event(req: u64, request: &Request) -> TraceKind {
+    TraceKind::Submit {
+        req,
+        conn: request.client,
+        function: request.function,
+        ops: request.operands.len().min(u32::MAX as usize) as u32,
+    }
+}
+
 /// Adapts one engine's shared state to the scrape server's pull model.
 #[derive(Debug)]
 struct HandleSource {
@@ -740,7 +821,7 @@ struct HandleSource {
 
 impl ScrapeSource for HandleSource {
     fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.shared.pool.obs)
+        Arc::clone(&self.shared.books.obs)
     }
 
     fn clock_hz(&self) -> f64 {
@@ -748,7 +829,7 @@ impl ScrapeSource for HandleSource {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.shared.pool.metrics.snapshot().exporter_counters()
+        self.shared.books.metrics.snapshot().exporter_counters()
     }
 
     fn counter_help(&self) -> Vec<(&'static str, &'static str)> {
@@ -756,8 +837,10 @@ impl ScrapeSource for HandleSource {
     }
 
     fn workers(&self) -> WorkerCensus {
+        // An inline engine reports 0/0, which `/health` reads as all in
+        // service.
         WorkerCensus {
-            total: self.shared.pool.health.len(),
+            total: self.shared.workers(),
             healthy: self.shared.healthy_workers(),
         }
     }
@@ -797,14 +880,16 @@ impl std::fmt::Display for CallError {
 
 impl std::error::Error for CallError {}
 
-/// The engine: a bounded queue feeding a pool of NACU worker shards.
+/// The engine: a healthy engine computes inline on the caller; an engine
+/// configured with fault plans is a bounded queue feeding a pool of
+/// walking NACU worker shards — the fault harness.
 ///
 /// See the [crate docs](crate) for the architecture diagram.
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<Shared>,
+    /// The harness's worker threads; empty for a healthy engine.
     handles: Vec<JoinHandle<()>>,
-    workers: usize,
     started: Instant,
     /// Stop flag + join handle for the telemetry sampler thread, present
     /// when [`EngineConfig::telemetry_interval`] is set.
@@ -813,8 +898,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Validates the configuration (by building a probe unit) and starts
-    /// the worker pool.
+    /// Validates the configuration (by building a probe unit), then
+    /// builds what the engine serves with: a healthy engine's response
+    /// tables, or the harness's queue and worker threads.
     ///
     /// # Errors
     ///
@@ -823,29 +909,12 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Result<Self, NacuError> {
         let probe = Nacu::new(config.nacu)?;
         let format = probe.config().format;
-        // Inline serving needs every worker slot clean: a slot with a
-        // fault plan exists to be exercised, so its engine keeps all
-        // traffic on the pool. A healthy engine keeps the probe as its
-        // golden unit and builds its tables from the probe's kernel, every
-        // 2^N response code once, here; `build` returns `None` past the
-        // table budget, leaving wide formats to the kernel.
-        let healthy =
-            config.use_fast_path && config.fault_tolerance.plans.iter().all(FaultPlan::is_empty);
-        let inline = healthy.then(|| Inline {
-            tables: ResponseTables::build(&probe),
-            nacu: probe,
-        });
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let metrics = Arc::new(EngineMetrics::new());
         // The probe above already validated the config, so the bound
         // derivation inside `HealthConfig::for_nacu` cannot panic.
         let obs = Arc::new(Obs::new().with_health(HealthConfig::for_nacu(
             &config.nacu,
             config.health_sample_every,
         )));
-        let workers = config.workers.max(1);
-        let health: Arc<Vec<AtomicBool>> =
-            Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect());
         // `for_format` returns `None` for formats wider than the log's
         // i16 code fields, leaving such engines unrecorded.
         let recorder = if config.record_capacity > 0 {
@@ -853,17 +922,38 @@ impl Engine {
         } else {
             None
         };
-        let pool = Arc::new(PoolShared {
-            config: config.nacu,
-            max_coalesced_requests: config.max_coalesced_requests.max(1),
-            fault: config.fault_tolerance,
-            queue,
-            metrics: Arc::clone(&metrics),
-            obs: Arc::clone(&obs),
-            health: Arc::clone(&health),
+        let books = Books {
+            metrics: Arc::new(EngineMetrics::new()),
+            obs,
             recorder,
-        });
-        let handles = pool::spawn_workers(&pool);
+        };
+        // The one rule: no fault plan configured means healthy. A healthy
+        // engine keeps the probe as its golden unit and builds its tables
+        // from the probe's kernel, every 2^N response code once, here;
+        // `build` returns `None` past the table budget, leaving wide
+        // formats to the kernel. Any plan at all, empty ones included,
+        // makes the engine the walking harness.
+        let (serve, handles) = if config.fault_tolerance.plans.is_empty() {
+            let inline = Inline {
+                tables: ResponseTables::build(&probe),
+                nacu: probe,
+                closed: AtomicBool::new(false),
+            };
+            (Serve::Inline(inline), Vec::new())
+        } else {
+            let harness = Arc::new(Harness {
+                config: config.nacu,
+                max_coalesced_requests: config.max_coalesced_requests.max(1),
+                fault: config.fault_tolerance,
+                queue: BoundedQueue::new(config.queue_capacity),
+                books: books.clone(),
+                health: (0..config.workers.max(1))
+                    .map(|_| AtomicBool::new(true))
+                    .collect(),
+            });
+            let handles = pool::spawn_workers(&harness);
+            (Serve::Harness(harness), handles)
+        };
         let telemetry = config.telemetry_interval.map(|interval| {
             Arc::new(Telemetry::new(
                 nacu_obs::DEFAULT_SAMPLE_CAPACITY,
@@ -876,22 +966,21 @@ impl Engine {
         let sampler = telemetry.as_ref().map(|telemetry| {
             spawn_sampler(
                 Arc::clone(telemetry),
-                obs,
-                metrics,
+                Arc::clone(&books.obs),
+                Arc::clone(&books.metrics),
                 Arc::clone(&sampler_stop),
             )
         });
         Ok(Self {
             shared: Arc::new(Shared {
-                pool,
-                inline,
+                books,
+                serve,
                 format,
                 default_deadline: config.default_deadline,
                 next_request_id: AtomicU64::new(0),
                 telemetry,
             }),
             handles,
-            workers,
             started: Instant::now(),
             sampler_stop,
             sampler,
@@ -912,13 +1001,14 @@ impl Engine {
         self.shared.format
     }
 
-    /// Worker (shard) count, healthy or not.
+    /// Worker (shard) threads, healthy or not (see
+    /// [`EngineHandle::workers`]).
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.shared.workers()
     }
 
-    /// Workers still in service (not quarantined by a detector event).
+    /// Workers still in service (see [`EngineHandle::healthy_workers`]).
     #[must_use]
     pub fn healthy_workers(&self) -> usize {
         self.shared.healthy_workers()
@@ -936,13 +1026,13 @@ impl Engine {
     /// Live counter snapshot, without stopping anything.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.pool.metrics.snapshot()
+        self.shared.books.metrics.snapshot()
     }
 
     /// The engine's live observability surface (see [`EngineHandle::obs`]).
     #[must_use]
     pub fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.shared.pool.obs)
+        Arc::clone(&self.shared.books.obs)
     }
 
     /// The engine's windowed-telemetry plane (see
@@ -955,7 +1045,7 @@ impl Engine {
     /// A coherent point-in-time observability snapshot.
     #[must_use]
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        self.shared.pool.obs.snapshot()
+        self.shared.books.obs.snapshot()
     }
 
     /// Throughput over the interval since `baseline` was snapshotted at
@@ -970,7 +1060,7 @@ impl Engine {
     ) -> ThroughputReport {
         let delta = self.metrics().since(baseline);
         let report =
-            ThroughputReport::from_interval(&delta, baseline_taken.elapsed(), self.workers)
+            ThroughputReport::from_interval(&delta, baseline_taken.elapsed(), self.workers())
                 .with_observability(&self.obs_snapshot());
         match &self.shared.telemetry {
             Some(telemetry) => report.with_windows(telemetry),
@@ -983,24 +1073,29 @@ impl Engine {
     #[must_use]
     pub fn lifetime_report(&self) -> ThroughputReport {
         let delta = self.metrics();
-        let report = ThroughputReport::from_interval(&delta, self.started.elapsed(), self.workers)
-            .with_observability(&self.obs_snapshot());
+        let report =
+            ThroughputReport::from_interval(&delta, self.started.elapsed(), self.workers())
+                .with_observability(&self.obs_snapshot());
         match &self.shared.telemetry {
             Some(telemetry) => report.with_windows(telemetry),
             None => report,
         }
     }
 
-    /// Stops accepting work, drains the queue, joins the workers and
-    /// returns the final counters. Queued requests are still served;
-    /// post-shutdown submissions get [`SubmitError::ShuttingDown`].
+    /// Stops accepting work — for a harness engine, also drains the
+    /// queue and joins the workers — and returns the final counters.
+    /// Queued requests are still served; post-shutdown submissions get
+    /// [`SubmitError::ShuttingDown`].
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
         self.metrics()
     }
 
     fn shutdown_in_place(&mut self) {
-        self.shared.pool.queue.close();
+        match &self.shared.serve {
+            Serve::Inline(inline) => inline.closed.store(true, Ordering::Release),
+            Serve::Harness(harness) => harness.queue.close(),
+        }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -1194,14 +1289,14 @@ mod tests {
         ));
     }
 
-    /// Counted on a fast-path-off engine, whose requests reach the queue
-    /// (a healthy engine serves both inline and never queues).
+    /// Counted on a clean-plan harness engine, whose requests reach the
+    /// queue (a healthy engine serves both inline and never queues).
     #[test]
     fn metrics_count_ops_per_function() {
         let engine = Engine::new(
             EngineConfig::new(NacuConfig::paper_16bit())
                 .with_workers(1)
-                .with_fast_path(false),
+                .with_fault_tolerance(FaultTolerance::clean_harness(1)),
         )
         .expect("paper config");
         let fmt = engine.format();
@@ -1236,13 +1331,13 @@ mod tests {
         }
         let report = engine.lifetime_report();
         assert_eq!(report.ops, 8 * 16);
-        assert_eq!(report.workers, 2);
+        assert_eq!(report.workers, 0, "a healthy engine reports no workers");
         assert!(report.modeled_cycles > 0);
         assert!(report.ops_per_sec() > 0.0);
         // Observability sections are filled in: latency percentiles and
         // the modeled-vs-measured cycle comparison.
         assert_eq!(report.end_to_end.count, 8);
-        assert_eq!(report.queue_wait.count, 8);
+        assert_eq!(report.queue_wait.count, 0, "nothing ever queued");
         assert!(report.end_to_end.p99_ns >= report.end_to_end.p50_ns);
         assert!(report.end_to_end.max_ns >= report.queue_wait.max_ns);
         assert!(report.checked_cycles > report.modeled_cycles);

@@ -184,8 +184,8 @@ counters! {
     drift_alarms: Sum(DriftAlarms) => "nacu_engine_drift_alarms_total";
     /// Operands answered without the checked datapath walk, by table
     /// gather or integer kernel (a subset of the per-function op counters;
-    /// 0 means every operand walked the datapath — fast path disabled, or
-    /// fault plans forcing the walk).
+    /// 0 means every operand walked the datapath — a harness engine, with
+    /// fault plans configured).
     fast_path_ops: Sum = |ops: &OpCounts| ops.iter().map(|[_, fast]| fast).sum()
         => "nacu_engine_fast_path_ops_total";
     // The net_* counters are recorded by the wire front-end in its own

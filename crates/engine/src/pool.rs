@@ -1,30 +1,36 @@
-//! The sharded worker pool: one OS thread and one bit-accurate NACU unit
-//! per worker, with fault detection, quarantine and bounded retry.
+//! The two serving paths: a healthy engine's inline step, and the
+//! walking fault harness — one OS thread and one checked NACU unit per
+//! worker, with fault detection, quarantine and bounded retry.
 //!
-//! Each worker constructs its **own** [`CheckedNacu`] instance from the
-//! shared [`NacuConfig`] at thread start — construction is deterministic
-//! (the LUT fit is a pure function of the config), so every shard holds
-//! bit-identical ROM contents and a healthy pool answers exactly what a
+//! Healthy engines are threadless. An engine configured with no fault
+//! plan serves every request inside `submit` ([`serve_inline`]):
+//! σ/tanh/exp from the response table where the format has one and from
+//! the integer kernel ([`nacu::Nacu::kernel_in_place`]) where it has
+//! none, and every softmax from [`nacu::Nacu::kernel_softmax`]. It builds
+//! no queue, no health flags and no threads, and its result goes back in
+//! the ticket itself.
+//!
+//! An engine with any fault plan — all-empty plans included — is the
+//! harness: it queues every request, and every worker serves it by
+//! walking its own [`CheckedNacu`], whose taps and detectors sit on the
+//! walk's nets. Each worker builds that unit from the shared
+//! [`NacuConfig`] at thread start; construction is deterministic (the LUT
+//! fit is a pure function of the config), so every shard holds
+//! bit-identical ROM contents and a clean pool answers exactly what a
 //! single sequential unit would. This mirrors the paper's fabric view:
 //! many physical NACU instances configured alike, fed from one stream of
 //! work.
 //!
-//! Healthy engines compute on the caller; the pool walks and is the
-//! fault harness. An engine with the fast path on and no fault plan on
-//! any slot serves every request inside `submit` ([`serve_inline`]):
-//! σ/tanh/exp from the response table where the format has one and from
-//! the integer kernel ([`nacu::Nacu::kernel_in_place`]) where it has
-//! none, and every softmax from [`nacu::Nacu::kernel_softmax`]. Only the
-//! other engines — a fault plan on some slot, or the fast path off —
-//! queue work, and every worker serves it by walking its [`CheckedNacu`],
-//! whose taps and detectors sit on the walk's nets. Both run the same
-//! [`serve_unary`] and [`serve_softmax`] steps.
+//! Both paths account through the same [`Books`] steps: batch counters
+//! and cycles ([`Books::finish_batch`]), end-to-end latency, the reply
+//! trace event and the trace record ([`Books::respond`]), and shadow
+//! sampling. Only the harness records queue waits and coalescing.
 //!
 //! The fault story, end to end:
 //!
 //! 1. A worker's unit carries the [`FaultPlan`] its slot was configured
-//!    with (empty in production; populated by tests and campaigns) and the
-//!    pool-wide [`nacu_faults::DetectorSet`].
+//!    with (populated by tests and campaigns; empty for a clean harness)
+//!    and the pool-wide [`nacu_faults::DetectorSet`].
 //! 2. When any detector fires mid-batch, the worker **quarantines
 //!    itself**: it marks its health flag, discards the batch's partial
 //!    results (a flagged unit's outputs are untrustworthy), requeues the
@@ -36,6 +42,8 @@
 //! 4. If the quarantining worker was the last healthy one, it drains the
 //!    queue, answers everything with `NoHealthyWorkers`, and closes the
 //!    queue so new submissions fail fast at the door.
+//!
+//! [`FaultPlan`]: nacu_faults::FaultPlan
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,8 +51,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use nacu::{Function, Nacu, NacuConfig, ResponseTable, ResponseTables};
+use nacu::{Function, Nacu, NacuConfig, ResponseTables};
 use nacu_faults::{CheckedError, CheckedNacu, FaultEvent};
+use nacu_fixed::Fx;
 use nacu_obs::{Obs, Stage, TraceKind};
 use nacu_replay::Recorder;
 
@@ -53,6 +62,7 @@ use crate::executor::{BatchExecutor, DatapathWalk};
 use crate::metrics::{Counter, EngineMetrics};
 use crate::queue::{BoundedQueue, Coalesce, PushError};
 use crate::report::{modeled_batch_cycles, modeled_checked_batch_cycles};
+use crate::wake::ReplyResult;
 use crate::FaultTolerance;
 
 /// One queued unit of work: the request plus its reply completer, the
@@ -76,6 +86,8 @@ pub(crate) struct Job {
     /// eventual healthy reply completes the same record — while terminal
     /// failures and expiries abandon it, so a drained trace only ever
     /// carries served request/response pairs.
+    ///
+    /// [`NO_RECORD_SLOT`]: nacu_replay::NO_RECORD_SLOT
     pub(crate) record: u32,
 }
 
@@ -85,13 +97,16 @@ impl Coalesce for Job {
     }
 }
 
-/// A serving thread's reusable buffers: the popped batch, its unexpired
-/// jobs, and the shadow-sampling plan — (job, operand, pre-overwrite x).
+/// A shadow-sampling plan: (request, operand, pre-overwrite x).
+type Samples = Vec<(usize, usize, f64)>;
+
+/// A worker's reusable buffers: the popped batch, its unexpired jobs,
+/// and the shadow-sampling plan.
 #[derive(Default)]
 struct Scratch {
     jobs: Vec<Job>,
     live: Vec<Job>,
-    samples: Vec<(usize, usize, f64)>,
+    samples: Samples,
 }
 
 /// Saturating nanoseconds of a duration (a serving interval never
@@ -100,53 +115,296 @@ fn as_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Everything a worker thread shares with the pool.
-#[derive(Debug)]
-pub(crate) struct PoolShared {
-    pub(crate) config: NacuConfig,
-    pub(crate) max_coalesced_requests: usize,
-    pub(crate) fault: FaultTolerance,
-    pub(crate) queue: Arc<BoundedQueue<Job>>,
+/// The worker index trace events carry: [`Response::INLINE`] becomes
+/// `u32::MAX`.
+fn trace_worker(worker: usize) -> u32 {
+    u32::try_from(worker).unwrap_or(u32::MAX)
+}
+
+/// What both serving paths account into: the live counters, the
+/// observability surface, and the trace recorder (`None` when the engine
+/// runs unrecorded).
+#[derive(Debug, Clone)]
+pub(crate) struct Books {
     pub(crate) metrics: Arc<EngineMetrics>,
     pub(crate) obs: Arc<Obs>,
-    /// One health flag per worker slot; `false` = quarantined.
-    pub(crate) health: Arc<Vec<AtomicBool>>,
-    /// Trace recorder workers complete reply halves into, `None` when
-    /// the engine runs unrecorded.
     pub(crate) recorder: Option<Arc<Recorder>>,
 }
 
-/// Completes a served job's trace record with its response codes.
-fn record_reply(shared: &PoolShared, slot: u32, outputs: &[nacu_fixed::Fx]) {
-    if let Some(recorder) = &shared.recorder {
-        if recorder.complete(slot, outputs.iter().map(|y| y.raw() as i16)) {
-            shared.metrics.add(Counter::ReplayRecordsCaptured, 1);
+impl Books {
+    /// Releases the trace record of a request that will never be served.
+    pub(crate) fn abandon_record(&self, slot: u32) {
+        if let Some(recorder) = &self.recorder {
+            recorder.abandon(slot);
+        }
+    }
+
+    /// Accounts a request whose deadline passed before service began.
+    fn expire(&self, id: u64, function: Function, record: u32) -> RequestError {
+        self.abandon_record(record);
+        self.metrics.add(Counter::RequestsExpired, 1);
+        self.obs
+            .record_trace(TraceKind::Expired { req: id, function });
+        RequestError::DeadlineExpired
+    }
+
+    /// Accounts a request its datapath could not evaluate — unreachable
+    /// after `submit`'s checks (see [`serve_softmax`]) — as failed,
+    /// without a panic on the serving thread.
+    fn refuse(&self, record: u32) -> RequestError {
+        self.abandon_record(record);
+        self.metrics.add(Counter::RequestsFailed, 1);
+        RequestError::EngineShutDown
+    }
+
+    /// Lays out a unary batch's shadow-sampling plan in `samples`: one
+    /// relaxed fetch_add on the shared decimation tick buys the whole
+    /// batch's quota, which is spread evenly over the batch's operands by
+    /// striding. The plan is observed against the served outputs
+    /// afterwards ([`Books::observe_samples`]), keeping the compute loop
+    /// free of sampling branches.
+    fn plan_samples<'a>(
+        &self,
+        batch_ops: usize,
+        requests: impl Iterator<Item = &'a [Fx]>,
+        samples: &mut Samples,
+    ) {
+        samples.clear();
+        let quota = self.obs.health().batch_quota(batch_ops as u64);
+        if quota == 0 {
+            return;
+        }
+        let stride = (batch_ops as u64 / quota).max(1);
+        let mut next: u64 = 0;
+        let mut base: u64 = 0;
+        for (index, operands) in requests.enumerate() {
+            let len = operands.len() as u64;
+            while next < base + len {
+                let operand = (next - base) as usize;
+                samples.push((index, operand, operands[operand].to_f64()));
+                if samples.len() as u64 >= quota {
+                    return;
+                }
+                next += stride;
+            }
+            base += len;
+        }
+    }
+
+    /// Observes each planned (x, y) pair against the f64 shadow
+    /// reference, reading y through `output(request, operand)`.
+    fn observe_samples(
+        &self,
+        worker: usize,
+        function: Function,
+        samples: &Samples,
+        output: impl Fn(usize, usize) -> Fx,
+    ) {
+        for &(index, operand, x) in samples {
+            let y = output(index, operand);
+            if let Some(alarm) = self.obs.health().observe(function, x, y.to_f64()) {
+                self.metrics.add(Counter::DriftAlarms, 1);
+                self.obs.record_trace(TraceKind::DriftAlarm {
+                    worker: trace_worker(worker),
+                    function,
+                    kind: alarm.kind,
+                });
+            }
+        }
+    }
+
+    /// Accounts one served batch, `fast` when its operands were served
+    /// without the checked walk. Metrics are recorded BEFORE any reply is
+    /// sent: a client observing its response must also observe the
+    /// counters that account for it.
+    fn finish_batch(
+        &self,
+        worker: usize,
+        function: Function,
+        requests: usize,
+        ops: usize,
+        fast: bool,
+        service_ns: u64,
+    ) {
+        let batch_cycles = modeled_batch_cycles(function, ops);
+        self.obs
+            .record_latency(Stage::BatchService, function, service_ns);
+        self.obs.cycles().record_batch(
+            function,
+            ops as u64,
+            batch_cycles,
+            modeled_checked_batch_cycles(function, ops),
+            service_ns,
+        );
+        self.obs.record_trace(TraceKind::BatchEnd {
+            worker: trace_worker(worker),
+            function,
+            ops: ops as u32,
+            service_ns,
+        });
+        self.metrics
+            .record_batch(function, requests as u64, ops as u64, batch_cycles, fast);
+    }
+
+    /// Completes one served request's accounting — its trace record, its
+    /// end-to-end latency (tagged, so a tail-bucket request leaves an
+    /// exemplar carrying its request id and connection) and its reply
+    /// trace event — and returns its response.
+    #[allow(clippy::too_many_arguments)]
+    fn respond(
+        &self,
+        worker: usize,
+        id: u64,
+        request: &Request,
+        submitted_at: Instant,
+        record: u32,
+        outputs: Vec<Fx>,
+        batch_ops: usize,
+    ) -> Response {
+        let function = request.function;
+        if let Some(recorder) = &self.recorder {
+            if recorder.complete(record, outputs.iter().map(|y| y.raw() as i16)) {
+                self.metrics.add(Counter::ReplayRecordsCaptured, 1);
+            }
+        }
+        let e2e_ns = as_ns(submitted_at.elapsed());
+        self.obs
+            .record_latency_tagged(Stage::EndToEnd, function, e2e_ns, id, request.client);
+        self.obs.record_trace(TraceKind::Reply {
+            req: id,
+            conn: request.client,
+            worker: trace_worker(worker),
+            function,
+            e2e_ns,
+        });
+        Response {
+            outputs,
+            worker,
+            batch_ops,
+            batch_cycles: modeled_batch_cycles(function, batch_ops),
         }
     }
 }
 
-/// Releases the trace record of a job that will never be served.
-fn abandon_record(shared: &PoolShared, slot: u32) {
-    if let Some(recorder) = &shared.recorder {
-        recorder.abandon(slot);
+/// What a healthy engine serves with on the submitting thread: its
+/// response tables, where the format fits the table budget, and the
+/// golden unit whose integer kernel serves everything else.
+#[derive(Debug)]
+pub(crate) struct Inline {
+    pub(crate) tables: Option<ResponseTables>,
+    pub(crate) nacu: Nacu,
+    /// Set by shutdown; later submissions are refused.
+    pub(crate) closed: AtomicBool,
+}
+
+/// Serves one submitted request on the calling thread —
+/// [`crate::EngineHandle::submit`]'s inline path — and returns its
+/// outcome for the ticket to hold. The request never queued, so no queue
+/// wait or coalescing is recorded; everything else goes through the
+/// [`Books`] steps a worker uses. The operand buffer is overwritten in
+/// place and becomes the response, and the sampling plan lives in a
+/// thread-local buffer, so a warmed-up stream of submissions allocates
+/// nothing.
+pub(crate) fn serve_inline(
+    books: &Books,
+    inline: &Inline,
+    id: u64,
+    mut request: Request,
+    submitted_at: Instant,
+    record: u32,
+) -> ReplyResult {
+    thread_local! {
+        static SAMPLES: Cell<Samples> = const { Cell::new(Vec::new()) };
+    }
+    let function = request.function;
+    if request.deadline.is_some_and(|d| d < Instant::now()) {
+        return Err(books.expire(id, function, record));
+    }
+    let mut operands = std::mem::take(&mut request.operands);
+    let ops = operands.len();
+    books.obs.record_trace(TraceKind::BatchStart {
+        worker: trace_worker(Response::INLINE),
+        function,
+        ops: ops as u32,
+    });
+    let scalar = scalar_function(function);
+    let mut samples = SAMPLES.take();
+    samples.clear();
+    if scalar {
+        books.plan_samples(ops, std::iter::once(&operands[..]), &mut samples);
+    }
+    let service_start = Instant::now();
+    // Softmax cannot fail here: `submit` rejected empty vectors and
+    // foreign formats, and the vector's maximum adds exp(0) = 1.0 to the
+    // denominator. Were it to, the caller gets a typed error, not a
+    // panic.
+    let computed = if scalar {
+        match inline.tables.as_ref().and_then(|t| t.get(function)) {
+            Some(table) => table.lookup_in_place(&mut operands),
+            None => inline.nacu.kernel_in_place(function, &mut operands),
+        }
+        Ok(())
+    } else {
+        inline.nacu.kernel_softmax(&mut operands)
+    };
+    let outcome = match computed {
+        Ok(()) => {
+            books.observe_samples(Response::INLINE, function, &samples, |_, o| operands[o]);
+            let service_ns = as_ns(service_start.elapsed());
+            books.finish_batch(Response::INLINE, function, 1, ops, true, service_ns);
+            Ok(books.respond(
+                Response::INLINE,
+                id,
+                &request,
+                submitted_at,
+                record,
+                operands,
+                ops,
+            ))
+        }
+        Err(_) => Err(books.refuse(record)),
+    };
+    SAMPLES.set(samples);
+    outcome
+}
+
+/// Everything the harness's worker threads share.
+#[derive(Debug)]
+pub(crate) struct Harness {
+    pub(crate) config: NacuConfig,
+    pub(crate) max_coalesced_requests: usize,
+    pub(crate) fault: FaultTolerance,
+    pub(crate) queue: BoundedQueue<Job>,
+    pub(crate) books: Books,
+    /// One health flag per worker slot; `false` = quarantined.
+    pub(crate) health: Vec<AtomicBool>,
+}
+
+impl Harness {
+    /// Workers still in service.
+    pub(crate) fn healthy_workers(&self) -> usize {
+        self.health
+            .iter()
+            .filter(|h| h.load(Ordering::Acquire))
+            .count()
     }
 }
 
-/// Spawns one thread per health slot, draining `shared.queue` until it
+/// Spawns one thread per health slot, draining the harness queue until it
 /// closes and empties (or the worker quarantines itself).
-pub(crate) fn spawn_workers(shared: &Arc<PoolShared>) -> Vec<JoinHandle<()>> {
-    (0..shared.health.len())
+pub(crate) fn spawn_workers(harness: &Arc<Harness>) -> Vec<JoinHandle<()>> {
+    (0..harness.health.len())
         .map(|worker| {
-            let shared = Arc::clone(shared);
+            let harness = Arc::clone(harness);
             std::thread::Builder::new()
                 .name(format!("nacu-worker-{worker}"))
-                .spawn(move || run_worker(worker, &shared))
+                .spawn(move || run_worker(worker, &harness))
                 .expect("spawn engine worker thread")
         })
         .collect()
 }
 
-fn run_worker(worker: usize, shared: &PoolShared) {
+fn run_worker(worker: usize, shared: &Harness) {
     // Per-worker unit; the config was validated when the engine was built.
     // Every batch walks it, so the parity / residue detectors see the
     // real nets of a fault-planned slot.
@@ -169,7 +427,7 @@ fn run_worker(worker: usize, shared: &PoolShared) {
             && batches_served > 0
             && batches_served.is_multiple_of(shared.fault.scrub_every_batches);
         if scrub_due {
-            shared.obs.record_trace(TraceKind::Scrub {
+            shared.books.obs.record_trace(TraceKind::Scrub {
                 worker: worker as u32,
             });
             if let Err(event) = unit.scrub() {
@@ -188,61 +446,53 @@ fn run_worker(worker: usize, shared: &PoolShared) {
 }
 
 /// Takes this worker out of service and re-routes its in-flight jobs.
-fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolShared) {
+fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &Harness) {
+    let books = &shared.books;
     shared.health[worker].store(false, Ordering::Release);
-    shared.metrics.add(Counter::FaultsDetected, 1);
-    shared.metrics.add(Counter::WorkersQuarantined, 1);
-    shared
+    books.metrics.add(Counter::FaultsDetected, 1);
+    books.metrics.add(Counter::WorkersQuarantined, 1);
+    books
         .obs
         .record_trace(TraceKind::fault(worker as u32, &event));
-    shared.obs.record_trace(TraceKind::Quarantine {
+    books.obs.record_trace(TraceKind::Quarantine {
         worker: worker as u32,
     });
-    let any_healthy = shared.health.iter().any(|h| h.load(Ordering::Acquire));
+    let any_healthy = shared.healthy_workers() > 0;
     if !any_healthy {
         // Close the door BEFORE answering anyone: a client that hears
         // `NoHealthyWorkers` and immediately resubmits must get
         // `ShuttingDown`, not a slot in a queue nobody will ever drain.
         shared.queue.close();
     }
+    let fail = |mut job: Job, error: RequestError| {
+        books.abandon_record(job.record);
+        books.metrics.add(Counter::RequestsFailed, 1);
+        job.reply.complete(Err(error));
+    };
     for mut job in jobs {
         if !any_healthy {
-            abandon_record(shared, job.record);
-            shared.metrics.add(Counter::RequestsFailed, 1);
-            job.reply.complete(Err(RequestError::NoHealthyWorkers));
+            fail(job, RequestError::NoHealthyWorkers);
         } else if job.retries >= shared.fault.max_retries {
-            abandon_record(shared, job.record);
-            shared.metrics.add(Counter::RequestsFailed, 1);
-            job.reply.complete(Err(RequestError::FaultDetected {
-                event,
-                attempts: job.retries + 1,
-            }));
+            let attempts = job.retries + 1;
+            fail(job, RequestError::FaultDetected { event, attempts });
         } else {
             job.retries += 1;
-            shared.metrics.add(Counter::Retries, 1);
-            shared.obs.record_trace(TraceKind::Retry {
+            books.metrics.add(Counter::Retries, 1);
+            books.obs.record_trace(TraceKind::Retry {
                 req: job.id,
                 worker: worker as u32,
                 attempts: job.retries,
             });
-            if let Err(PushError::Full(mut job) | PushError::Closed(mut job)) =
-                shared.queue.try_push(job)
-            {
-                abandon_record(shared, job.record);
-                shared.metrics.add(Counter::RequestsFailed, 1);
-                job.reply.complete(Err(RequestError::FaultDetected {
-                    event,
-                    attempts: job.retries,
-                }));
+            if let Err(PushError::Full(job) | PushError::Closed(job)) = shared.queue.try_push(job) {
+                let attempts = job.retries;
+                fail(job, RequestError::FaultDetected { event, attempts });
             }
         }
     }
     if !any_healthy {
         // Last one out answers whatever was stranded behind the door.
-        for mut job in shared.queue.drain() {
-            abandon_record(shared, job.record);
-            shared.metrics.add(Counter::RequestsFailed, 1);
-            job.reply.complete(Err(RequestError::NoHealthyWorkers));
+        for job in shared.queue.drain() {
+            fail(job, RequestError::NoHealthyWorkers);
         }
     }
 }
@@ -256,382 +506,158 @@ fn serve_batch(
     worker: usize,
     unit: &CheckedNacu,
     scratch: &mut Scratch,
-    shared: &PoolShared,
+    shared: &Harness,
 ) -> Result<(), (FaultEvent, Vec<Job>)> {
     let Some(function) = scratch.jobs.first().map(|job| job.request.function) else {
         return Ok(());
     };
     if scalar_function(function) {
-        let walk = Unary::Datapath(DatapathWalk::new(unit, function));
-        serve_unary(worker, &walk, scratch, shared)
+        serve_unary(worker, &DatapathWalk::new(unit, function), scratch, shared)
     } else {
-        serve_softmax(worker, Vector::Walk(unit), scratch, shared)
+        serve_softmax(worker, unit, scratch, shared)
     }
 }
 
-/// What a healthy engine serves with on the submitting thread: its
-/// response tables, where the format fits the table budget, and the
-/// golden unit whose integer kernel serves everything else.
-#[derive(Debug)]
-pub(crate) struct Inline {
-    pub(crate) tables: Option<ResponseTables>,
-    pub(crate) nacu: Nacu,
-}
-
-/// Serves one submitted request on the calling thread:
-/// [`crate::EngineHandle::submit`]'s inline path, running the very
-/// [`serve_unary`] / [`serve_softmax`] steps a worker runs, over a
-/// one-job batch. Its trace events and [`Response::worker`] carry the
-/// pool size as worker index — one past the last pool worker. The
-/// scratch buffers are thread-local, so a steady stream of submissions
-/// allocates nothing beyond the ticket.
-pub(crate) fn serve_inline(shared: &PoolShared, inline: &Inline, job: Job) {
-    thread_local! {
-        static SCRATCH: Cell<Scratch> = Cell::default();
-    }
-    let mut scratch = SCRATCH.take();
-    let function = job.request.function;
-    scratch.jobs.push(job);
-    let worker = shared.health.len();
-    let served = if scalar_function(function) {
-        let exec = match inline.tables.as_ref().and_then(|t| t.get(function)) {
-            Some(table) => Unary::Table(table),
-            None => Unary::Kernel(&inline.nacu),
-        };
-        serve_unary(worker, &exec, &mut scratch, shared)
-    } else {
-        serve_softmax(worker, Vector::Kernel(&inline.nacu), &mut scratch, shared)
-    };
-    // Only the walk arms return `Err` (a detector event), and this path
-    // has none. Were one returned, dropping its stranded jobs would
-    // resolve their tickets as `EngineShutDown` — nothing here panics on
-    // the caller's thread.
-    drop(served);
-    SCRATCH.set(scratch);
-}
-
-/// How a unary batch computes its outputs.
-enum Unary<'a> {
-    /// The table gather (inline only): bit-identical by construction (the
-    /// tables were built by the kernel, itself proven equal to the golden
-    /// walk) and infallible, so outputs overwrite each operand buffer in
-    /// place and the buffer itself becomes the response — nothing is
-    /// allocated per operand or per request.
-    Table(&'a ResponseTable),
-    /// The integer kernel, for formats with no table (inline only):
-    /// infallible and in place like the gather.
-    Kernel(&'a Nacu),
-    /// The worker's checked datapath, into a fresh buffer per job, so a
-    /// mid-batch detector event leaves every operand buffer pristine for
-    /// the retry path.
-    Datapath(DatapathWalk<'a>),
-}
-
-/// How a softmax vector is normalised.
-#[derive(Clone, Copy)]
-enum Vector<'a> {
-    /// [`Nacu::kernel_softmax`], in place (inline only).
-    Kernel(&'a Nacu),
-    /// The worker's checked unit, into a fresh buffer.
-    Walk(&'a CheckedNacu),
-}
-
-/// The unary-batch steps every serving thread shares — a worker over a
-/// coalesced batch, [`serve_inline`] over one submitted request:
-/// deadline expiry, queue-wait and service stages, shadow sampling,
-/// cycle and counter accounting, trace events, trace-record completion
-/// and the replies.
-///
-/// The shadow-sampling plan (which operands to sample, and their
-/// pre-overwrite values) is laid out in `scratch.samples` before
-/// execution and observed against the served outputs afterwards, keeping
-/// the gather loop free of sampling branches.
+/// Walks one fused unary batch, each job into a fresh buffer so a
+/// mid-batch detector event leaves every operand buffer pristine for the
+/// retry path, then accounts and answers it.
 fn serve_unary(
     worker: usize,
-    exec: &Unary<'_>,
+    walk: &DatapathWalk<'_>,
     scratch: &mut Scratch,
-    shared: &PoolShared,
+    shared: &Harness,
 ) -> Result<(), (FaultEvent, Vec<Job>)> {
     let Some(function) = take_live(worker, scratch, shared) else {
         return Ok(());
     };
     let Scratch { live, samples, .. } = scratch;
-    let metrics = &shared.metrics;
-    let obs = &shared.obs;
+    let books = &shared.books;
     // One fused pipelined pass over every live request's operands.
     let batch_ops: usize = live.iter().map(|j| j.request.operands.len()).sum();
-    obs.record_trace(TraceKind::BatchStart {
+    books.obs.record_trace(TraceKind::BatchStart {
         worker: worker as u32,
         function,
         ops: batch_ops as u32,
     });
-    // Shadow-sampling plan for this batch: one relaxed fetch_add on the
-    // shared decimation tick buys the whole batch's quota, then the quota
-    // is spread evenly over the batch by striding — (job, operand,
-    // pre-overwrite x).
-    let health = obs.health();
-    let sample_quota = health.batch_quota(batch_ops as u64);
-    let sample_stride = (batch_ops as u64)
-        .checked_div(sample_quota)
-        .map_or(0, |s| s.max(1));
-    samples.clear();
-    if sample_quota > 0 {
-        let mut next: u64 = 0;
-        let mut base: u64 = 0;
-        'plan: for (job_index, job) in live.iter().enumerate() {
-            let len = job.request.operands.len() as u64;
-            while next < base + len {
-                let operand = (next - base) as usize;
-                samples.push((job_index, operand, job.request.operands[operand].to_f64()));
-                if samples.len() as u64 >= sample_quota {
-                    break 'plan;
-                }
-                next += sample_stride;
-            }
-            base += len;
-        }
-    }
-    let service_start = Instant::now();
-    // `None` = served in place; `Some` = datapath outputs, one per job.
-    let outputs_per_job = match exec {
-        Unary::Table(table) => {
-            for job in live.iter_mut() {
-                table.lookup_in_place(&mut job.request.operands);
-            }
-            None
-        }
-        Unary::Kernel(nacu) => {
-            for job in live.iter_mut() {
-                nacu.kernel_in_place(function, &mut job.request.operands);
-            }
-            None
-        }
-        Unary::Datapath(walk) => {
-            let mut per_job = Vec::with_capacity(live.len());
-            for job in live.iter() {
-                let mut outputs = job.request.operands.clone();
-                if let Err(event) = walk.execute(&mut outputs) {
-                    return Err((event, std::mem::take(live)));
-                }
-                per_job.push(outputs);
-            }
-            Some(per_job)
-        }
-    };
-    // Observe the sampled (x, y) pairs against the f64 shadow reference,
-    // reading y from wherever the outputs landed.
-    for &(job_index, operand, x) in samples.iter() {
-        let y = match &outputs_per_job {
-            None => live[job_index].request.operands[operand],
-            Some(per_job) => per_job[job_index][operand],
-        };
-        if let Some(alarm) = health.observe(function, x, y.to_f64()) {
-            metrics.add(Counter::DriftAlarms, 1);
-            obs.record_trace(TraceKind::DriftAlarm {
-                worker: worker as u32,
-                function,
-                kind: alarm.kind,
-            });
-        }
-    }
-    let service_ns = as_ns(service_start.elapsed());
-    let fast = !matches!(exec, Unary::Datapath(_));
-    finish_batch(
-        worker,
-        function,
-        live.len(),
+    books.plan_samples(
         batch_ops,
-        fast,
-        service_ns,
-        shared,
+        live.iter().map(|j| &j.request.operands[..]),
+        samples,
     );
-    match outputs_per_job {
-        None => {
-            for job in live.iter_mut() {
-                let outputs = std::mem::take(&mut job.request.operands);
-                reply(worker, job, outputs, batch_ops, shared);
-            }
+    let service_start = Instant::now();
+    let mut per_job = Vec::with_capacity(live.len());
+    for job in live.iter() {
+        let mut outputs = job.request.operands.clone();
+        if let Err(event) = walk.execute(&mut outputs) {
+            return Err((event, std::mem::take(live)));
         }
-        Some(per_job) => {
-            for (job, outputs) in live.iter_mut().zip(per_job) {
-                reply(worker, job, outputs, batch_ops, shared);
-            }
-        }
+        per_job.push(outputs);
+    }
+    books.observe_samples(worker, function, samples, |j, o| per_job[j][o]);
+    let service_ns = as_ns(service_start.elapsed());
+    books.finish_batch(worker, function, live.len(), batch_ops, false, service_ns);
+    for (job, outputs) in live.iter_mut().zip(per_job) {
+        let response = books.respond(
+            worker,
+            job.id,
+            &job.request,
+            job.submitted_at,
+            job.record,
+            outputs,
+            batch_ops,
+        );
+        job.reply.complete(Ok(response));
     }
     live.clear();
     Ok(())
 }
 
-/// Serves softmax jobs one vector at a time (softmax never coalesces, so
-/// this is a singleton batch). The kernel normalises the vector in place
-/// and its buffer becomes the response; the walk writes a fresh buffer.
+/// Walks softmax jobs one vector at a time (softmax never coalesces, so
+/// this is a singleton batch), each into a fresh buffer.
 ///
-/// Neither can meet a malformed vector: `submit` rejected empty vectors
-/// and foreign formats, and the vector's maximum adds exp(0) = 1.0 to the
-/// denominator, so [`Nacu::kernel_softmax`]'s divide-by-zero cannot occur
+/// The walk cannot meet a malformed vector: `submit` rejected empty
+/// vectors and foreign formats, and the vector's maximum adds exp(0) =
+/// 1.0 to the denominator, so the divider's divide-by-zero cannot occur
 /// either. This step relies on that, but unwraps nothing: an `Err` other
 /// than a detector event answers the job `EngineShutDown` (see
-/// [`refuse`]), since on the inline path the serving thread is the
-/// caller's.
+/// [`Books::refuse`]).
 fn serve_softmax(
     worker: usize,
-    exec: Vector<'_>,
+    unit: &CheckedNacu,
     scratch: &mut Scratch,
-    shared: &PoolShared,
+    shared: &Harness,
 ) -> Result<(), (FaultEvent, Vec<Job>)> {
     let Some(function) = take_live(worker, scratch, shared) else {
         return Ok(());
     };
+    let books = &shared.books;
     let live = &mut scratch.live;
     for index in 0..live.len() {
         let n = live[index].request.operands.len();
-        shared.obs.record_trace(TraceKind::BatchStart {
+        books.obs.record_trace(TraceKind::BatchStart {
             worker: worker as u32,
             function,
             ops: n as u32,
         });
         let service_start = Instant::now();
-        let operands = &mut live[index].request.operands;
-        let outputs = match exec {
-            Vector::Kernel(nacu) => nacu
-                .kernel_softmax(operands)
-                .map(|()| std::mem::take(operands)),
-            Vector::Walk(unit) => match unit.softmax(operands) {
-                Ok(outputs) => Ok(outputs),
-                Err(CheckedError::Fault(event)) => {
-                    return Err((event, live.drain(index..).collect()));
-                }
-                Err(CheckedError::Nacu(e)) => Err(e),
-            },
+        let job = &mut live[index];
+        let outcome = match unit.softmax(&job.request.operands) {
+            Ok(outputs) => {
+                let service_ns = as_ns(service_start.elapsed());
+                books.finish_batch(worker, function, 1, n, false, service_ns);
+                Ok(books.respond(
+                    worker,
+                    job.id,
+                    &job.request,
+                    job.submitted_at,
+                    job.record,
+                    outputs,
+                    n,
+                ))
+            }
+            Err(CheckedError::Fault(event)) => {
+                return Err((event, live.drain(index..).collect()));
+            }
+            Err(CheckedError::Nacu(_)) => Err(books.refuse(job.record)),
         };
-        let Ok(outputs) = outputs else {
-            refuse(&mut live[index], shared);
-            continue;
-        };
-        let service_ns = as_ns(service_start.elapsed());
-        let fast = matches!(exec, Vector::Kernel(_));
-        finish_batch(worker, function, 1, n, fast, service_ns, shared);
-        reply(worker, &mut live[index], outputs, n, shared);
+        job.reply.complete(outcome);
     }
     live.clear();
     Ok(())
-}
-
-/// Answers a job its datapath could not evaluate — unreachable after
-/// `submit`'s checks (see [`serve_softmax`]) — as failed, without a
-/// panic on the serving thread.
-fn refuse(job: &mut Job, shared: &PoolShared) {
-    abandon_record(shared, job.record);
-    shared.metrics.add(Counter::RequestsFailed, 1);
-    job.reply.complete(Err(RequestError::EngineShutDown));
 }
 
 /// Moves the unexpired jobs of `scratch.jobs` into `scratch.live`,
 /// answering the expired ones, so they neither cost datapath work nor
 /// inflate the fused batch. Pickup marks the end of every live job's
 /// queue wait. Returns the batch's function, `None` if nothing is live.
-fn take_live(worker: usize, scratch: &mut Scratch, shared: &PoolShared) -> Option<Function> {
-    let obs = &shared.obs;
+fn take_live(worker: usize, scratch: &mut Scratch, shared: &Harness) -> Option<Function> {
+    let books = &shared.books;
     let now = Instant::now();
     let live = &mut scratch.live;
     live.clear();
     for mut job in scratch.jobs.drain(..) {
         if job.request.deadline.is_some_and(|d| d < now) {
-            abandon_record(shared, job.record);
-            shared.metrics.add(Counter::RequestsExpired, 1);
-            obs.record_trace(TraceKind::Expired {
-                req: job.id,
-                function: job.request.function,
-            });
-            job.reply.complete(Err(RequestError::DeadlineExpired));
+            let error = books.expire(job.id, job.request.function, job.record);
+            job.reply.complete(Err(error));
         } else {
             live.push(job);
         }
     }
     let function = live.first()?.request.function;
     for job in live.iter() {
-        obs.record_latency(
+        books.obs.record_latency(
             Stage::QueueWait,
             function,
             as_ns(now.duration_since(job.submitted_at)),
         );
     }
     if live.len() > 1 {
-        obs.record_trace(TraceKind::Coalesce {
+        books.obs.record_trace(TraceKind::Coalesce {
             worker: worker as u32,
             requests: live.len() as u32,
         });
     }
     Some(function)
-}
-
-/// Accounts one served batch, `fast` when its operands were served without
-/// the checked walk. Metrics are recorded BEFORE any reply is sent: a
-/// client observing its response must also observe the counters that
-/// account for it.
-fn finish_batch(
-    worker: usize,
-    function: Function,
-    requests: usize,
-    ops: usize,
-    fast: bool,
-    service_ns: u64,
-    shared: &PoolShared,
-) {
-    let obs = &shared.obs;
-    let batch_cycles = modeled_batch_cycles(function, ops);
-    obs.record_latency(Stage::BatchService, function, service_ns);
-    obs.cycles().record_batch(
-        function,
-        ops as u64,
-        batch_cycles,
-        modeled_checked_batch_cycles(function, ops),
-        service_ns,
-    );
-    obs.record_trace(TraceKind::BatchEnd {
-        worker: worker as u32,
-        function,
-        ops: ops as u32,
-        service_ns,
-    });
-    shared
-        .metrics
-        .record_batch(function, requests as u64, ops as u64, batch_cycles, fast);
-}
-
-/// Completes one served job: its trace record, its end-to-end latency
-/// (tagged, so a tail-bucket request leaves an exemplar carrying its
-/// request id and connection), its reply trace event, and its ticket.
-fn reply(
-    worker: usize,
-    job: &mut Job,
-    outputs: Vec<nacu_fixed::Fx>,
-    batch_ops: usize,
-    shared: &PoolShared,
-) {
-    let function = job.request.function;
-    record_reply(shared, job.record, &outputs);
-    let e2e_ns = as_ns(job.submitted_at.elapsed());
-    shared.obs.record_latency_tagged(
-        Stage::EndToEnd,
-        function,
-        e2e_ns,
-        job.id,
-        job.request.client,
-    );
-    shared.obs.record_trace(TraceKind::Reply {
-        req: job.id,
-        conn: job.request.client,
-        worker: worker as u32,
-        function,
-        e2e_ns,
-    });
-    job.reply.complete(Ok(Response {
-        outputs,
-        worker,
-        batch_ops,
-        batch_cycles: modeled_batch_cycles(function, batch_ops),
-    }));
 }
 
 #[cfg(test)]
@@ -641,8 +667,16 @@ mod tests {
     use nacu_faults::{DetectorSet, Fault, FaultPlan, InjectionSite};
     use nacu_fixed::{Fx, Rounding};
 
-    fn shared(plans: Vec<FaultPlan>, slots: usize) -> Arc<PoolShared> {
-        Arc::new(PoolShared {
+    fn books(obs: Obs) -> Books {
+        Books {
+            metrics: Arc::new(EngineMetrics::new()),
+            obs: Arc::new(obs),
+            recorder: None,
+        }
+    }
+
+    fn shared(plans: Vec<FaultPlan>, slots: usize) -> Arc<Harness> {
+        Arc::new(Harness {
             config: NacuConfig::paper_16bit(),
             max_coalesced_requests: 8,
             fault: FaultTolerance {
@@ -651,11 +685,9 @@ mod tests {
                 detectors: DetectorSet::all(),
                 plans,
             },
-            queue: Arc::new(BoundedQueue::new(64)),
-            metrics: Arc::new(EngineMetrics::new()),
-            obs: Arc::new(Obs::with_trace_capacity(64)),
-            health: Arc::new((0..slots).map(|_| AtomicBool::new(true)).collect()),
-            recorder: None,
+            queue: BoundedQueue::new(64),
+            books: books(Obs::with_trace_capacity(64)),
+            health: (0..slots).map(|_| AtomicBool::new(true)).collect(),
         })
     }
 
@@ -665,7 +697,7 @@ mod tests {
         worker: usize,
         unit: &CheckedNacu,
         jobs: Vec<Job>,
-        s: &PoolShared,
+        s: &Harness,
     ) -> Result<(), (FaultEvent, Vec<Job>)> {
         let mut scratch = Scratch {
             jobs,
@@ -676,22 +708,43 @@ mod tests {
 
     /// A healthy engine's inline state: the golden unit, with or without
     /// its tables.
-    fn inline(s: &PoolShared, with_tables: bool) -> Inline {
-        let nacu = Nacu::new(s.config).expect("paper config");
+    fn inline(with_tables: bool) -> Inline {
+        let nacu = Nacu::new(NacuConfig::paper_16bit()).expect("paper config");
         let tables = with_tables.then(|| ResponseTables::build(&nacu).expect("16-bit fits"));
-        Inline { tables, nacu }
+        Inline {
+            tables,
+            nacu,
+            closed: AtomicBool::new(false),
+        }
     }
 
-    fn job(shared: &PoolShared, v: f64) -> (Job, crate::Ticket) {
-        let fmt = shared.config.format;
+    /// Serves `request` inline, as a healthy engine's `submit` does.
+    fn inline_serve(books: &Books, inline: &Inline, request: Request) -> Response {
+        serve_inline(
+            books,
+            inline,
+            0,
+            request,
+            Instant::now(),
+            nacu_replay::NO_RECORD_SLOT,
+        )
+        .expect("served")
+    }
+
+    fn sigmoid_of(v: f64) -> Request {
+        let fmt = NacuConfig::paper_16bit().format;
+        Request::new(
+            Function::Sigmoid,
+            vec![Fx::from_f64(v, fmt, Rounding::Nearest)],
+        )
+    }
+
+    fn job(v: f64) -> (Job, crate::Ticket) {
         let (ticket, reply) = crate::wake::pair(0);
         (
             Job {
                 id: 0,
-                request: Request::new(
-                    Function::Sigmoid,
-                    vec![Fx::from_f64(v, fmt, Rounding::Nearest)],
-                ),
+                request: sigmoid_of(v),
                 reply,
                 retries: 0,
                 submitted_at: Instant::now(),
@@ -711,20 +764,19 @@ mod tests {
     /// counter alongside the per-function one.
     #[test]
     fn fast_path_serves_bit_identical_outputs_and_counts_ops() {
-        let s = shared(Vec::new(), 1);
-        let inline = inline(&s, true);
-        let (a, a_rx) = job(&s, 0.25);
-        let (b, b_rx) = job(&s, -1.5);
-        serve_inline(&s, &inline, a);
-        serve_inline(&s, &inline, b);
-        let fmt = s.config.format;
-        let expect = |v: f64| inline.nacu.sigmoid(Fx::from_f64(v, fmt, Rounding::Nearest));
-        let a_out = a_rx.try_wait().expect("reply").expect("served");
-        let b_out = b_rx.try_wait().expect("reply").expect("served");
+        let books = books(Obs::with_trace_capacity(64));
+        let inline = inline(true);
+        let a_out = inline_serve(&books, &inline, sigmoid_of(0.25));
+        let b_out = inline_serve(&books, &inline, sigmoid_of(-1.5));
+        let expect = |v: f64| inline.nacu.sigmoid(sigmoid_of(v).operands[0]);
         assert_eq!(a_out.outputs, vec![expect(0.25)]);
         assert_eq!(b_out.outputs, vec![expect(-1.5)]);
-        assert_eq!(a_out.worker, 1, "inline answers carry the pool size");
-        let m = s.metrics.snapshot();
+        assert_eq!(
+            a_out.worker,
+            Response::INLINE,
+            "inline answers carry the marker"
+        );
+        let m = books.metrics.snapshot();
         assert_eq!(m.fast_path_ops, 2);
         assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
         assert_eq!(
@@ -732,54 +784,49 @@ mod tests {
             2 * modeled_batch_cycles(Function::Sigmoid, 1),
             "Table I accounting models the hardware, not the software path"
         );
+        // The inline path never queued: no queue wait, no coalescing.
+        let snap = books.obs.snapshot();
+        assert_eq!(snap.stage_merged(Stage::QueueWait).count, 0);
+        assert_eq!(snap.stage_merged(Stage::EndToEnd).count, 2);
+        let names: Vec<&str> = books
+            .obs
+            .drain_trace(16)
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
+        assert!(!names.contains(&"coalesce"), "{names:?}");
     }
 
     /// Softmax on the inline path: the kernel normalises the vector in
     /// place, bit-identical to the walk, and counts it as fast path.
     #[test]
     fn softmax_is_served_from_the_kernel() {
-        let s = shared(Vec::new(), 1);
-        let inline = inline(&s, true);
-        let fmt = s.config.format;
+        let books = books(Obs::with_trace_capacity(64));
+        let inline = inline(true);
+        let fmt = NacuConfig::paper_16bit().format;
         let xs: Vec<Fx> = [-2.0, 0.5, 3.25, -0.125]
             .iter()
             .map(|&v| Fx::from_f64(v, fmt, Rounding::Nearest))
             .collect();
-        let (ticket, reply) = crate::wake::pair(0);
-        let j = Job {
-            id: 0,
-            request: Request::new(Function::Softmax, xs.clone()),
-            reply,
-            retries: 0,
-            submitted_at: Instant::now(),
-            record: nacu_replay::NO_RECORD_SLOT,
-        };
-        serve_inline(&s, &inline, j);
+        let response = inline_serve(&books, &inline, Request::new(Function::Softmax, xs.clone()));
         let golden = inline.nacu.softmax(&xs).expect("valid vector");
-        assert_eq!(
-            ticket.try_wait().expect("reply").expect("served").outputs,
-            golden
-        );
-        assert_eq!(s.metrics.snapshot().fast_path_ops, xs.len() as u64);
+        assert_eq!(response.outputs, golden);
+        assert_eq!(books.metrics.snapshot().fast_path_ops, xs.len() as u64);
     }
 
     /// With no table for the function, the inline path serves from the
     /// kernel: in place, bit-identical, counted as fast path.
     #[test]
     fn kernel_serves_batches_without_a_table() {
-        let s = shared(Vec::new(), 1);
-        let inline = inline(&s, false);
-        let (a, a_rx) = job(&s, 0.25);
-        let (b, b_rx) = job(&s, -1.5);
-        serve_inline(&s, &inline, a);
-        serve_inline(&s, &inline, b);
-        let fmt = s.config.format;
-        for (rx, v) in [(a_rx, 0.25), (b_rx, -1.5)] {
-            let x = Fx::from_f64(v, fmt, Rounding::Nearest);
-            let out = rx.try_wait().expect("reply").expect("served");
+        let books = books(Obs::with_trace_capacity(64));
+        let inline = inline(false);
+        for v in [0.25, -1.5] {
+            let request = sigmoid_of(v);
+            let x = request.operands[0];
+            let out = inline_serve(&books, &inline, request);
             assert_eq!(out.outputs, vec![inline.nacu.sigmoid(x)]);
         }
-        assert_eq!(s.metrics.snapshot().fast_path_ops, 2);
+        assert_eq!(books.metrics.snapshot().fast_path_ops, 2);
     }
 
     /// Deterministic unit test of the retry path: a faulted worker's
@@ -790,7 +837,7 @@ mod tests {
         let unit = CheckedNacu::new(s.config)
             .expect("paper config")
             .with_plan(s.fault.plan_for(0));
-        let (j, rx) = job(&s, 0.0);
+        let (j, rx) = job(0.0);
         let (event, stranded) = serve(0, &unit, vec![j], &s).unwrap_err();
         assert_eq!(event, FaultEvent::LutParity { entry: 0 });
         quarantine(0, event, stranded, &s);
@@ -803,13 +850,14 @@ mod tests {
         assert!(rx.try_wait().is_none(), "no reply until a healthy serve");
         let requeued = s.queue.drain().remove(0);
         assert_eq!(requeued.retries, 1);
-        let m = s.metrics.snapshot();
+        let m = s.books.metrics.snapshot();
         assert_eq!(m.faults_detected, 1);
         assert_eq!(m.workers_quarantined, 1);
         assert_eq!(m.retries, 1);
         assert_eq!(m.requests_failed, 0);
         // The whole episode is visible in the trace ring, in order.
         let names: Vec<&str> = s
+            .books
             .obs
             .drain_trace(16)
             .iter()
@@ -824,12 +872,12 @@ mod tests {
     fn healthy_serve_records_latencies_cycles_and_traces() {
         let s = shared(Vec::new(), 1);
         let unit = CheckedNacu::new(s.config).expect("paper config");
-        let (a, a_rx) = job(&s, 0.25);
-        let (b, b_rx) = job(&s, -0.5);
+        let (a, a_rx) = job(0.25);
+        let (b, b_rx) = job(-0.5);
         serve(0, &unit, vec![a, b], &s).expect("healthy batch");
         assert!(a_rx.try_wait().expect("reply").is_ok());
         assert!(b_rx.try_wait().expect("reply").is_ok());
-        let snap = s.obs.snapshot();
+        let snap = s.books.obs.snapshot();
         use nacu::Function;
         let qw = snap.stage(Stage::QueueWait, Function::Sigmoid).unwrap();
         assert_eq!(qw.count, 2, "one queue-wait sample per live job");
@@ -850,6 +898,7 @@ mod tests {
             modeled_checked_batch_cycles(Function::Sigmoid, 2)
         );
         let names: Vec<&str> = s
+            .books
             .obs
             .drain_trace(16)
             .iter()
@@ -889,7 +938,7 @@ mod tests {
         let entry = golden.lookup_index(golden.magnitude_raw(x));
         let clean_bias = golden.coefficients()[entry].1;
         let stuck = (clean_bias >> 4) & 1 == 0;
-        let s = Arc::new(PoolShared {
+        let s = Arc::new(Harness {
             config,
             max_coalesced_requests: 8,
             fault: FaultTolerance {
@@ -903,24 +952,23 @@ mod tests {
                     stuck,
                 ))],
             },
-            queue: Arc::new(BoundedQueue::new(64)),
-            metrics: Arc::new(EngineMetrics::new()),
-            obs: Arc::new(
+            queue: BoundedQueue::new(64),
+            books: books(
                 Obs::with_trace_capacity(64).with_health(HealthConfig::for_nacu(&config, 1)),
             ),
-            health: Arc::new(vec![AtomicBool::new(true)]),
-            recorder: None,
+            health: vec![AtomicBool::new(true)],
         });
         let unit = CheckedNacu::new(s.config)
             .expect("paper config")
             .with_plan(s.fault.plan_for(0))
             .with_detectors(s.fault.detectors);
-        let (j, rx) = job(&s, 0.5);
+        let (j, rx) = job(0.5);
         serve(0, &unit, vec![j], &s).expect("no detectors armed");
         assert!(rx.try_wait().expect("reply").is_ok(), "served, not failed");
-        assert!(s.obs.health().alarm_latched(), "drift alarm latched");
-        assert!(s.metrics.snapshot().drift_alarms >= 1);
+        assert!(s.books.obs.health().alarm_latched(), "drift alarm latched");
+        assert!(s.books.metrics.snapshot().drift_alarms >= 1);
         let names: Vec<&str> = s
+            .books
             .obs
             .drain_trace(16)
             .iter()
@@ -934,7 +982,7 @@ mod tests {
     #[test]
     fn exhausted_retries_surface_the_typed_fault_error() {
         let s = shared(vec![lut_fault_plan(), FaultPlan::new()], 2);
-        let (mut j, rx) = job(&s, 0.0);
+        let (mut j, rx) = job(0.0);
         j.retries = s.fault.max_retries;
         let event = FaultEvent::LutParity { entry: 0 };
         quarantine(0, event, vec![j], &s);
@@ -945,7 +993,7 @@ mod tests {
             }
             other => panic!("expected FaultDetected, got {other:?}"),
         }
-        assert_eq!(s.metrics.snapshot().requests_failed, 1);
+        assert_eq!(s.books.metrics.snapshot().requests_failed, 1);
         assert_eq!(s.queue.depth(), 0);
     }
 
@@ -954,9 +1002,9 @@ mod tests {
     #[test]
     fn last_quarantine_fails_stranded_jobs_and_closes_the_queue() {
         let s = shared(vec![lut_fault_plan()], 1);
-        let (queued, queued_rx) = job(&s, 0.5);
+        let (queued, queued_rx) = job(0.5);
         s.queue.try_push(queued).map_err(|_| ()).unwrap();
-        let (in_flight, in_flight_rx) = job(&s, 0.0);
+        let (in_flight, in_flight_rx) = job(0.0);
         quarantine(0, FaultEvent::LutParity { entry: 0 }, vec![in_flight], &s);
         assert_eq!(
             in_flight_rx.try_wait().expect("terminal reply"),
@@ -967,9 +1015,9 @@ mod tests {
             Err(crate::WaitError::NoHealthyWorkers)
         );
         // Queue is closed: further pushes bounce.
-        let (late, _late_rx) = job(&s, 1.0);
+        let (late, _late_rx) = job(1.0);
         assert!(matches!(s.queue.try_push(late), Err(PushError::Closed(_))));
-        assert_eq!(s.metrics.snapshot().requests_failed, 2);
+        assert_eq!(s.books.metrics.snapshot().requests_failed, 2);
     }
 
     /// The quarantine invariant, end to end on real threads: after a
@@ -980,7 +1028,7 @@ mod tests {
         let handles = spawn_workers(&s);
         // First job trips entry 0's parity on worker 0 → quarantine →
         // no healthy workers → queue closed, worker thread exited.
-        let (j, rx) = job(&s, 0.0);
+        let (j, rx) = job(0.0);
         s.queue.try_push(j).map_err(|_| ()).unwrap();
         assert_eq!(rx.wait(), Err(crate::WaitError::NoHealthyWorkers));
         for h in handles {
@@ -988,9 +1036,9 @@ mod tests {
         }
         // The thread is gone; nothing can serve. A late push bounces off
         // the closed queue rather than waiting on a dead pool.
-        let (late, _rx) = job(&s, 2.0);
+        let (late, _rx) = job(2.0);
         assert!(matches!(s.queue.try_push(late), Err(PushError::Closed(_))));
-        assert_eq!(s.metrics.snapshot().workers_quarantined, 1);
+        assert_eq!(s.books.metrics.snapshot().workers_quarantined, 1);
     }
 
     /// Scrub-driven quarantine: corruption in a LUT entry the workload
@@ -1012,16 +1060,16 @@ mod tests {
             .scrub_every_batches = 1;
         let handles = spawn_workers(&s);
         // Batch 1 (x≈0 never touches entry 20) serves fine…
-        let (first, first_rx) = job(&s, 0.0);
+        let (first, first_rx) = job(0.0);
         s.queue.try_push(first).map_err(|_| ()).unwrap();
         assert!(first_rx.wait().is_ok());
         // …then the scrub before batch 2 walks every segment and fires.
-        let (second, second_rx) = job(&s, 0.0);
+        let (second, second_rx) = job(0.0);
         s.queue.try_push(second).map_err(|_| ()).unwrap();
         assert_eq!(second_rx.wait(), Err(crate::WaitError::NoHealthyWorkers));
         for h in handles {
             h.join().expect("worker exited after scrub quarantine");
         }
-        assert_eq!(s.metrics.snapshot().faults_detected, 1);
+        assert_eq!(s.books.metrics.snapshot().faults_detected, 1);
     }
 }

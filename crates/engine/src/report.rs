@@ -116,7 +116,9 @@ pub struct ThroughputReport {
     pub wall: Duration,
     /// Modeled hardware cycles for the same work, summed over batches.
     pub modeled_cycles: u64,
-    /// Worker (NACU unit) count that served the interval.
+    /// Worker (NACU unit) count that served the interval: 0 for a
+    /// healthy engine, which computes inline and has no workers (its
+    /// responses carry [`crate::Response::INLINE`]).
     pub workers: usize,
     /// Detector events observed during the interval.
     pub faults_detected: u64,
@@ -266,13 +268,14 @@ impl ThroughputReport {
 
     /// Modeled hardware time for the interval's work at `clock_hz`,
     /// assuming the pool's units run their batches back to back and the
-    /// shards divide the work evenly.
+    /// shards divide the work evenly. An inline engine is modeled as one
+    /// unit.
     #[must_use]
     pub fn modeled_hardware_time(&self, clock_hz: f64) -> Duration {
-        if clock_hz <= 0.0 || self.workers == 0 {
+        if clock_hz <= 0.0 {
             return Duration::ZERO;
         }
-        let cycles_per_unit = self.modeled_cycles as f64 / self.workers as f64;
+        let cycles_per_unit = self.modeled_cycles as f64 / self.workers.max(1) as f64;
         Duration::from_secs_f64(cycles_per_unit / clock_hz)
     }
 
@@ -301,12 +304,15 @@ impl std::fmt::Display for ThroughputReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} ops in {:?} on {} worker(s): {:.0} ops/s software, \
+            "{} ops in {:?} {}: {:.0} ops/s software, \
              {:.1} ops/batch; modeled {} cycles = {:?} at the paper clock \
              ({:.0} ops/s, {:.0}x)",
             self.ops,
             self.wall,
-            self.workers,
+            match self.workers {
+                0 => "inline".to_string(),
+                n => format!("on {n} worker(s)"),
+            },
             self.ops_per_sec(),
             self.ops_per_batch(),
             self.modeled_cycles,

@@ -1,99 +1,70 @@
-//! Waker-based completion plumbing: the event-driven reply side of the
-//! engine.
+//! Waker-based completion plumbing: the reply side of the walking fault
+//! harness.
 //!
-//! Through PR 6 a [`Ticket`] was an `mpsc::Receiver` and the only ways to
-//! learn a request finished were to block a whole thread on it or to poll
-//! `try_wait` on a timer — the network plane burned one 50 µs-polling
-//! writer thread *per connection*. This module replaces that with the
-//! standard readiness shape, built only on `std`:
+//! A healthy engine computes every request inside `submit` and hands
+//! back a [`Ticket`] that already holds its result; none of this module
+//! runs for it. A harness engine (any fault plan configured) queues each
+//! request for a pool worker, and the worker's reply travels back through
+//! the pieces here, built only on `std`:
 //!
-//! * `Slot` — a one-shot completion cell with an `AtomicU8` state
-//!   machine (`EMPTY → REGISTERING → REGISTERED → COMPLETE → CONSUMED`).
-//!   The completer publishes the value and *swaps* to `COMPLETE`; the
-//!   consumer registers a [`Waker`] under the `REGISTERING` guard state.
-//!   The register/complete race is resolved without locks: whichever
-//!   side's atomic RMW lands second sees the other and either delivers
-//!   exactly one wakeup or observes the completed value directly.
+//! * `Slot` — a one-shot completion cell: a `Mutex` over the published
+//!   value, the registered [`Waker`] and a consumed flag. The completer
+//!   stores the value and takes the waker under the lock, then wakes it
+//!   *after* releasing the lock, so a waker that claims the value at once
+//!   (the network plane's reply waker does) never meets a held lock.
+//!   Whichever of register and complete takes the lock second sees the
+//!   other's write, so a wakeup is never lost.
 //! * [`TicketFuture`] — `Ticket` as a real [`Future`] (`ticket.await`
 //!   via `IntoFuture`), so any executor can drive engine requests.
 //! * [`block_on`] / [`block_on_deadline`] — a std-only parker executor;
-//!   `Ticket::wait` is now a thin wrapper over it.
+//!   `Ticket::wait` on a pending ticket is a thin wrapper over it.
 //!
 //! Any other [`Waker`] works too: the network plane registers one per
 //! in-flight ticket that writes the reply on the thread that completes
 //! it.
-//!
-//! # State machine
-//!
-//! ```text
-//!              consumer CAS                consumer CAS
-//!   EMPTY ────────────────▶ REGISTERING ─────────────▶ REGISTERED
-//!     │                         │      ◀─────────────      │
-//!     │                         │       (re-register)      │
-//!     │ completer swap          │ completer swap           │ completer swap
-//!     │ (no waker: quiet)       │ (cell untouched;         │ (takes waker,
-//!     │                         │  consumer self-serves)   │  wakes exactly once)
-//!     ▼                         ▼                          ▼
-//!   COMPLETE ──────────────────────────────────────────▶ CONSUMED
-//!                     consumer CAS claims the value
-//! ```
-//!
-//! Every transition is a single atomic RMW on `state`, so the completer's
-//! `swap(COMPLETE)` and any consumer CAS are totally ordered: a lost
-//! wakeup would require the swap to observe `REGISTERED` without taking
-//! the waker, or a consumer to finish registering without re-checking —
-//! neither path exists. The `UnsafeCell`s are only touched by whichever
-//! side the state machine currently grants exclusive access.
 
-use std::cell::UnsafeCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::Instant;
 
 use crate::batch::{RequestError, Response};
-use crate::{Ticket, WaitError};
-
-/// No value, no waker.
-const EMPTY: u8 = 0;
-/// The consumer is writing the waker cell; nobody else may touch it.
-const REGISTERING: u8 = 1;
-/// A waker is stored; the completer owns delivering it.
-const REGISTERED: u8 = 2;
-/// The value is published; first consumer claim wins.
-const COMPLETE: u8 = 3;
-/// The value was taken; later polls answer "already consumed".
-const CONSUMED: u8 = 4;
+use crate::{Outcome, Ticket, WaitError};
 
 /// A one-shot completion cell: one completer, one (single-threaded)
-/// consumer, a lock-free register/complete handshake.
+/// consumer.
 ///
 /// Generic over the payload so the drop-exactly-once property can be
 /// tested with an instrumented type; the engine instantiates it with
 /// `Result<Response, RequestError>`.
 pub(crate) struct Slot<T> {
-    state: AtomicU8,
-    value: UnsafeCell<Option<T>>,
-    waker: UnsafeCell<Option<Waker>>,
+    state: Mutex<SlotState<T>>,
 }
 
-// SAFETY: the state machine grants at most one side access to each
-// UnsafeCell at a time (see the module docs); `T` crossing threads only
-// needs `T: Send`.
-unsafe impl<T: Send> Send for Slot<T> {}
-unsafe impl<T: Send> Sync for Slot<T> {}
+struct SlotState<T> {
+    /// The published outcome, until a consumer claims it.
+    value: Option<T>,
+    /// The consumer's waker, until the completer takes it.
+    waker: Option<Waker>,
+    /// A consumer claimed the value; later polls answer "already
+    /// consumed".
+    consumed: bool,
+}
 
 impl<T> std::fmt::Debug for Slot<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match self.state.load(Ordering::Relaxed) {
-            EMPTY => "empty",
-            REGISTERING => "registering",
-            REGISTERED => "registered",
-            COMPLETE => "complete",
-            _ => "consumed",
+        let s = self.lock();
+        let state = if s.consumed {
+            "consumed"
+        } else if s.value.is_some() {
+            "complete"
+        } else if s.waker.is_some() {
+            "registered"
+        } else {
+            "empty"
         };
         f.debug_struct("Slot").field("state", &state).finish()
     }
@@ -102,102 +73,53 @@ impl<T> std::fmt::Debug for Slot<T> {
 impl<T> Slot<T> {
     pub(crate) fn new() -> Self {
         Self {
-            state: AtomicU8::new(EMPTY),
-            value: UnsafeCell::new(None),
-            waker: UnsafeCell::new(None),
+            state: Mutex::new(SlotState {
+                value: None,
+                waker: None,
+                consumed: false,
+            }),
         }
+    }
+
+    /// Nothing panics while the lock is held, so a poisoned lock still
+    /// guards a consistent state.
+    fn lock(&self) -> MutexGuard<'_, SlotState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes the value and delivers at most one wakeup. Must be
     /// called at most once (the unique [`Completer`] enforces this).
     pub(crate) fn complete(&self, value: T) {
-        // SAFETY: only the unique completer writes the value cell, and
-        // no consumer reads it before observing COMPLETE (Acquire) below.
-        unsafe { *self.value.get() = Some(value) };
-        match self.state.swap(COMPLETE, Ordering::AcqRel) {
-            // Nobody is waiting; the consumer's next poll sees COMPLETE.
-            EMPTY => {}
-            // The consumer is mid-registration. Its confirming CAS
-            // (REGISTERING → REGISTERED) will fail against COMPLETE and
-            // it self-serves the value — touching the waker cell here
-            // would race its write, so we must not (and need not).
-            REGISTERING => {}
-            REGISTERED => {
-                // SAFETY: REGISTERED means the consumer finished writing
-                // the waker and the swap above locked it out of ever
-                // re-entering REGISTERING, so the cell is ours.
-                if let Some(waker) = unsafe { (*self.waker.get()).take() } {
-                    waker.wake();
-                }
-            }
-            state => unreachable!("slot completed twice (state {state})"),
+        let waker = {
+            let mut s = self.lock();
+            debug_assert!(s.value.is_none() && !s.consumed, "slot completed twice");
+            s.value = Some(value);
+            s.waker.take()
+        };
+        if let Some(waker) = waker {
+            waker.wake();
         }
     }
 
     /// Claims the value if complete; otherwise registers `waker` (when
-    /// given) for exactly one wakeup. `Ready(None)` means an earlier
-    /// poll already claimed it.
+    /// given) for exactly one wakeup, replacing any earlier one.
+    /// `Ready(None)` means an earlier poll already claimed it.
     pub(crate) fn poll_value(&self, waker: Option<&Waker>) -> Poll<Option<T>> {
-        let mut state = self.state.load(Ordering::Acquire);
-        loop {
-            match state {
-                COMPLETE => {
-                    match self.state.compare_exchange(
-                        COMPLETE,
-                        CONSUMED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        // SAFETY: the CAS makes this call the unique
-                        // claimant; the completer released the value
-                        // before swapping to COMPLETE.
-                        Ok(_) => return Poll::Ready(unsafe { (*self.value.get()).take() }),
-                        Err(observed) => state = observed,
-                    }
-                }
-                CONSUMED => return Poll::Ready(None),
-                EMPTY | REGISTERED => {
-                    let Some(waker) = waker else {
-                        return Poll::Pending;
-                    };
-                    match self.state.compare_exchange(
-                        state,
-                        REGISTERING,
-                        Ordering::Acquire,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: REGISTERING excludes the completer
-                            // from the waker cell until we confirm below.
-                            unsafe { *self.waker.get() = Some(waker.clone()) };
-                            match self.state.compare_exchange(
-                                REGISTERING,
-                                REGISTERED,
-                                Ordering::Release,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => return Poll::Pending,
-                                Err(observed) => {
-                                    debug_assert_eq!(observed, COMPLETE);
-                                    // Completion landed while we wrote the
-                                    // waker; the completer saw REGISTERING
-                                    // and left the cell alone. Reclaim our
-                                    // waker (no wakeup is coming) and take
-                                    // the value directly.
-                                    // SAFETY: the completer never touches
-                                    // the waker cell after observing
-                                    // REGISTERING, so it is still ours.
-                                    drop(unsafe { (*self.waker.get()).take() });
-                                    state = observed;
-                                }
-                            }
-                        }
-                        Err(observed) => state = observed,
-                    }
-                }
-                _ => unreachable!("second consumer raced a one-shot slot"),
+        let mut s = self.lock();
+        if s.consumed {
+            return Poll::Ready(None);
+        }
+        if let Some(value) = s.value.take() {
+            s.consumed = true;
+            return Poll::Ready(Some(value));
+        }
+        if let Some(waker) = waker {
+            match &mut s.waker {
+                Some(held) if held.will_wake(waker) => {}
+                held => *held = Some(waker.clone()),
             }
         }
+        Poll::Pending
     }
 }
 
@@ -237,7 +159,7 @@ pub(crate) fn pair(req: u64) -> (Ticket, Completer) {
     let slot = Arc::new(Slot::new());
     (
         Ticket {
-            slot: Arc::clone(&slot),
+            outcome: Outcome::Pending(Arc::clone(&slot)),
             req,
         },
         Completer { slot: Some(slot) },
@@ -271,14 +193,7 @@ impl Future for TicketFuture {
     type Output = Result<Response, WaitError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.ticket.slot.poll_value(Some(cx.waker())) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(Some(Ok(response))) => Poll::Ready(Ok(response)),
-            Poll::Ready(Some(Err(e))) => Poll::Ready(Err(e.into())),
-            // Polled again after resolving — mirror the disconnected
-            // mpsc receiver the pre-waker Ticket was built on.
-            Poll::Ready(None) => Poll::Ready(Err(WaitError::EngineShutDown)),
-        }
+        self.ticket.poll_outcome(Some(cx.waker()))
     }
 }
 

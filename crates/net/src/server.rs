@@ -2,17 +2,16 @@
 //!
 //! One accept thread guards the connection limit; each accepted socket
 //! gets a reader thread (decode → admission → engine submit). Each reply
-//! is written by the thread that completes its request. Healthy engines
-//! compute on the caller; the pool walks and is the fault harness:
+//! is written by the thread that completes its request:
 //!
-//! * the **reader** writes every reply of a healthy engine (fast path on,
-//!   no fault plan), which answers σ/tanh/exp and softmax, at every
-//!   width, inside `submit` — the ticket is already resolved when
-//!   admission hands it back;
-//! * the **engine worker** writes the replies of a fault-planned or
-//!   fast-path-off engine, whose every request is pool-served, through a
-//!   waker armed on the ticket that encodes and writes the reply when the
-//!   worker completes it.
+//! * the **reader** writes every reply of a healthy engine (no fault plan
+//!   configured), which is threadless: it computes σ/tanh/exp and
+//!   softmax, at every width, inside `submit`, so the ticket admission
+//!   hands back already holds the result;
+//! * the **engine worker** writes the replies of a harness engine (any
+//!   fault plan configured), whose every request is pool-served, through
+//!   a waker armed on the ticket that encodes and writes the reply when
+//!   the worker completes it.
 //!
 //! No thread exists only to write replies, and no request crosses a
 //! thread just to be answered. Control replies (BUSY/SHED/QUOTA/ERROR)
@@ -65,10 +64,9 @@ use crate::proto::{
 };
 
 /// How long one reply write may block on a full socket before the
-/// connection is declared dead. Workers write the replies of
-/// fault-planned and fast-path-off engines, so this bounds what a client
-/// that stops reading can take from them (and, on a healthy engine, from
-/// its own reader).
+/// connection is declared dead. Workers write the replies of harness
+/// engines, so this bounds what a client that stops reading can take
+/// from them (and, on a healthy engine, from its own reader).
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-client rate limit for the token bucket.
@@ -91,7 +89,7 @@ pub struct NetConfig {
     pub max_frame_ops: u32,
     /// Pool-served requests in flight per connection; the reader stops
     /// decoding (TCP backpressure) once this many replies are owed. Only
-    /// fault-planned and fast-path-off engines pool-serve: a healthy
+    /// harness engines (any fault plan configured) pool-serve: a healthy
     /// engine answers every request inside `submit`, and none counts.
     pub max_inflight_per_conn: usize,
     /// Per-client-IP token bucket; `None` disables quota enforcement.

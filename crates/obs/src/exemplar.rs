@@ -58,14 +58,18 @@ pub struct ExemplarRing {
 }
 
 impl ExemplarRing {
-    /// A ring retaining up to `capacity` exemplars (min 1).
+    /// A ring retaining up to `capacity` exemplars (min 1). Its storage
+    /// is allocated here, one slot past `capacity` for the push before
+    /// the pop in [`ExemplarRing::offer`], so a capture on the serving
+    /// path never allocates.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Self {
             epoch: Instant::now(),
-            capacity: capacity.max(1),
+            capacity,
             stage_max: core::array::from_fn(|_| AtomicU64::new(0)),
-            ring: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(VecDeque::with_capacity(capacity + 1)),
             captured: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
         }
@@ -195,5 +199,25 @@ mod tests {
         assert_eq!(snap[0].req, 3);
         assert_eq!(snap[1].req, 4);
         assert_eq!(ring.captured(), 5);
+    }
+
+    /// The ring's storage is sized at construction: offering far past
+    /// capacity never grows it, so captures on the serving path never
+    /// allocate.
+    #[test]
+    fn offering_past_capacity_never_grows_the_ring() {
+        let ring = ExemplarRing::new(DEFAULT_EXEMPLAR_CAPACITY);
+        let allocated = ring.ring.lock().expect("ring lock").capacity();
+        assert!(allocated > DEFAULT_EXEMPLAR_CAPACITY);
+        for i in 0..100 * DEFAULT_EXEMPLAR_CAPACITY as u64 {
+            // Monotonically increasing values all qualify as tail.
+            ring.offer(Stage::EndToEnd, Function::Exp, 1_000 + i, i, 0);
+        }
+        assert_eq!(ring.captured(), 100 * DEFAULT_EXEMPLAR_CAPACITY as u64);
+        assert_eq!(
+            ring.ring.lock().expect("ring lock").capacity(),
+            allocated,
+            "the ring reallocated"
+        );
     }
 }

@@ -1,13 +1,14 @@
-//! The engine's one inviolable contract, as a property: batched,
-//! coalesced, multi-worker evaluation returns exactly the bits the
+//! The engine's one inviolable contract, as a property: inline
+//! evaluation on a healthy engine, and batched, coalesced, multi-worker
+//! evaluation on the walking harness, return exactly the bits the
 //! sequential [`Nacu`] datapath produces — for every function, any
 //! batch size, any Eq. 7 word width, and any pool width (including the
 //! degenerate 1-worker pool).
 //!
 //! The exhaustive Q4.11 and Q4.15 sweeps serve every input code through
-//! a live pool with the fast path on (response tables at Q4.11, the
-//! workers' integer kernel at Q4.15) and off (the checked walk): the
-//! end-to-end proof of both serving paths.
+//! a healthy engine (response tables at Q4.11, the integer kernel at
+//! Q4.15, inline) and through a clean four-worker harness (the checked
+//! walk): the end-to-end proof of both serving paths.
 //!
 //! Wall-time budget: about 1.1 s in the tier-1 run on a 2-vCPU host
 //! (test profile, `opt-level = 2`); CI's `queue-stress` job also runs it
@@ -17,17 +18,41 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use nacu::{Function, Nacu, NacuConfig};
-use nacu_engine::{Engine, EngineConfig, Request};
+use nacu_engine::{Engine, EngineConfig, FaultTolerance, Request, Response};
 use nacu_fixed::{Fx, Rounding};
 
+/// A clean walking harness of `workers` workers.
 fn pool(config: NacuConfig, workers: usize) -> Engine {
     Engine::new(
         EngineConfig::new(config)
             .with_workers(workers)
             .with_queue_capacity(64)
-            .with_max_coalesced_requests(8),
+            .with_max_coalesced_requests(8)
+            .with_fault_tolerance(FaultTolerance::clean_harness(workers)),
     )
     .expect("validated config")
+}
+
+/// Serves `request` on a healthy engine and on a clean `workers`-wide
+/// harness, returning both answers.
+fn inline_and_pooled(
+    config: NacuConfig,
+    workers: usize,
+    request: &Request,
+) -> (Response, Response) {
+    let serve = |engine: Engine| {
+        let response = engine
+            .submit(request.clone())
+            .expect("well-formed request")
+            .wait()
+            .expect("served");
+        engine.shutdown();
+        response
+    };
+    (
+        serve(Engine::new(EngineConfig::new(config)).expect("validated config")),
+        serve(pool(config, workers)),
+    )
 }
 
 fn to_operands(values: &[f64], config: NacuConfig) -> Vec<Fx> {
@@ -38,27 +63,27 @@ fn to_operands(values: &[f64], config: NacuConfig) -> Vec<Fx> {
 }
 
 /// Drives every raw input code of `config`'s format through two engines —
-/// fast path enabled and disabled — and checks
+/// a healthy one and a clean walking harness — and checks
 /// both against the sequential datapath, for all three unary functions.
-/// Chunked waves keep all four workers of each engine busy while the test
-/// thread computes the reference. Every operand of the fast-path engine
-/// must have been served off the walk, and none of the other's.
+/// Chunked waves keep all four workers of the harness busy while the test
+/// thread computes the reference. Every operand of the healthy engine
+/// must have been served off the walk, and none of the harness's.
 fn exhaustive_engine_sweep(config: NacuConfig) {
-    use nacu_engine::Ticket;
+    use nacu_engine::{FaultTolerance, Ticket};
     let sequential = Nacu::new(config).expect("builds");
     let fmt = config.format;
-    let engine_with = |fast: bool| {
+    let engine_with = |fault_tolerance: FaultTolerance| {
         Engine::new(
             EngineConfig::new(config)
                 .with_workers(4)
                 .with_queue_capacity(64)
                 .with_max_coalesced_requests(8)
-                .with_fast_path(fast),
+                .with_fault_tolerance(fault_tolerance),
         )
         .expect("validated config")
     };
-    let on = engine_with(true);
-    let off = engine_with(false);
+    let on = engine_with(FaultTolerance::default());
+    let off = engine_with(FaultTolerance::clean_harness(4));
     let codes: Vec<Fx> = fmt
         .raw_codes()
         .map(|raw| Fx::from_raw_saturating(raw, fmt))
@@ -103,14 +128,15 @@ fn exhaustive_engine_sweep(config: NacuConfig) {
         total_ops,
         "every operand should have been served off the walk"
     );
-    assert_eq!(off.metrics().fast_path_ops, 0, "fast path was disabled");
+    assert_eq!(off.metrics().fast_path_ops, 0, "the harness always walks");
     on.shutdown();
     off.shutdown();
 }
 
 /// Exhaustive fast-path equivalence at the paper's Q4.11: every one of
-/// the 2^16 input codes, served through the engine with the fast path on
-/// and off, matches the sequential datapath bit for bit.
+/// the 2^16 input codes, served through a healthy engine (the fast path)
+/// and a clean walking harness, matches the sequential datapath bit for
+/// bit.
 #[test]
 fn exhaustive_q4_11_sweep_is_bit_identical_fast_path_on_and_off() {
     let config = NacuConfig::paper_16bit();
@@ -122,8 +148,8 @@ fn exhaustive_q4_11_sweep_is_bit_identical_fast_path_on_and_off() {
 }
 
 /// The same exhaustive sweep at Q4.15 (20-bit words): past the table
-/// budget the fast-path engine's workers serve every operand from their
-/// integer kernel, and the engine remains bit-identical.
+/// budget the healthy engine serves every operand inline from its
+/// integer kernel, and both engines remain bit-identical.
 #[test]
 fn exhaustive_q4_15_sweep_is_bit_identical_and_kernel_served() {
     let config = NacuConfig::for_width(20).expect("Eq. 7 solvable at 20 bits");
@@ -152,19 +178,15 @@ proptest! {
         let sequential = Nacu::new(config).expect("builds");
         let operands = to_operands(&values, config);
 
-        let engine = pool(config, workers);
-        let response = engine
-            .submit(Request::new(function, operands.clone()))
-            .expect("well-formed request")
-            .wait()
-            .expect("served");
-        engine.shutdown();
+        let (inline, pooled) =
+            inline_and_pooled(config, workers, &Request::new(function, operands.clone()));
 
         let expected: Vec<Fx> = operands
             .iter()
             .map(|&x| sequential.compute(function, x))
             .collect();
-        prop_assert_eq!(response.outputs, expected);
+        prop_assert_eq!(inline.outputs, expected.clone());
+        prop_assert_eq!(pooled.outputs, expected);
     }
 
     #[test]
@@ -177,16 +199,15 @@ proptest! {
         let sequential = Nacu::new(config).expect("builds");
         let operands = to_operands(&values, config);
 
-        let engine = pool(config, workers);
-        let response = engine
-            .submit(Request::new(Function::Softmax, operands.clone()))
-            .expect("well-formed request")
-            .wait()
-            .expect("served");
-        engine.shutdown();
+        let (inline, pooled) = inline_and_pooled(
+            config,
+            workers,
+            &Request::new(Function::Softmax, operands.clone()),
+        );
 
         let expected = sequential.softmax(&operands).expect("non-empty batch");
-        prop_assert_eq!(response.outputs, expected);
+        prop_assert_eq!(inline.outputs, expected.clone());
+        prop_assert_eq!(pooled.outputs, expected);
     }
 
     #[test]

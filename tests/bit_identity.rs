@@ -12,9 +12,11 @@
 //!
 //! The same widths prove the serving kernel ([`Nacu::kernel_in_place`],
 //! [`Nacu::kernel_softmax`]) against the walk: every code of σ, tanh and
-//! exp, and seeded softmax vectors plus the Eq. 13 edge cases. A healthy
-//! engine worker answers from the kernel, so these sweeps are what keep
-//! its replies golden.
+//! exp, and seeded softmax vectors plus the Eq. 13 edge cases. A seeded,
+//! sampled sweep extends that proof to every width a unit can be built
+//! at. A healthy engine answers from the kernel (or tables the kernel
+//! built) at every width, so these sweeps are what keep its replies
+//! golden.
 
 use nacu::{Function, Nacu, NacuConfig};
 use nacu_faults::{CheckedNacu, DetectorSet};
@@ -211,4 +213,71 @@ fn kernel_softmax_rejects_what_softmax_rejects() {
     let mut xs = [alien];
     assert!(g.kernel_softmax(&mut xs).is_err());
     assert_eq!(xs, [alien], "a rejected vector is left untouched");
+}
+
+/// The widths `NacuConfig::for_width` accepts (3 to 63 bits) at which
+/// `Nacu::new` builds a unit: it refuses 3 bits, and from 52 bits its
+/// segment-boundary arithmetic overflows `i64` (and the softmax
+/// accumulator format outgrows 63 bits a few widths later), so no engine
+/// can be built there either.
+const SWEPT_WIDTHS: std::ops::RangeInclusive<u32> = 4..=51;
+
+/// Widths up to this are swept over every code; wider ones over
+/// [`SAMPLED_CODES`] seeded codes per function.
+const EXHAUSTIVE_BITS: u32 = 12;
+const SAMPLED_CODES: usize = 4_096;
+/// Seeded softmax vectors per width.
+const SOFTMAX_VECTORS: usize = 256;
+
+/// The kernel against the walk at every width a healthy engine can be
+/// built at, since every healthy engine serves every width from the
+/// kernel (or the tables it built) with no walk fallback: σ/tanh/exp
+/// over every code up to [`EXHAUSTIVE_BITS`] and over a fixed-seed
+/// sample above, and [`SOFTMAX_VECTORS`] seeded softmax vectors per
+/// width. Budget: under 10 s in a debug `cargo test`.
+#[test]
+fn kernel_equals_the_walk_at_every_width() {
+    let mut seed = 0x00C0_DE5E_ED00_u64;
+    for width in SWEPT_WIDTHS {
+        let config = NacuConfig::for_width(width).expect("Eq. 7 solvable");
+        let g = Nacu::new(config).expect("a unit builds at this width");
+        let fmt = config.format;
+        let span = (fmt.max_raw() - fmt.min_raw() + 1) as u64;
+        let code =
+            |bits: u64| Fx::from_raw(fmt.min_raw() + (bits % span) as i64, fmt).expect("in range");
+        // Above the exhaustive widths, half the sample is uniform over
+        // the codes and half falls in [-4, 4), where the segment ladder
+        // and the exp range live.
+        let near_zero = 8_u64 << fmt.frac_bits();
+        let codes: Vec<Fx> = if width <= EXHAUSTIVE_BITS {
+            fmt.raw_codes()
+                .map(|raw| Fx::from_raw(raw, fmt).expect("in range"))
+                .collect()
+        } else {
+            (0..SAMPLED_CODES)
+                .map(|i| {
+                    let bits = splitmix(&mut seed);
+                    if i % 2 == 0 {
+                        code(bits)
+                    } else {
+                        let raw = (bits % near_zero) as i64 - (near_zero / 2) as i64;
+                        Fx::from_raw_saturating(raw, fmt)
+                    }
+                })
+                .chain([Fx::min(fmt), Fx::zero(fmt), Fx::max(fmt)])
+                .collect()
+        };
+        for f in [Function::Sigmoid, Function::Tanh, Function::Exp] {
+            let mut ys = codes.clone();
+            g.kernel_in_place(f, &mut ys);
+            for (&x, &y) in codes.iter().zip(&ys) {
+                assert_eq!(y, g.compute(f, x), "{f} at {x:?}, width {width}");
+            }
+        }
+        for _ in 0..SOFTMAX_VECTORS {
+            let len = 1 + (splitmix(&mut seed) % 24) as usize;
+            let xs: Vec<Fx> = (0..len).map(|_| code(splitmix(&mut seed))).collect();
+            assert_kernel_softmax(&g, &xs, &format!("seeded, width {width}"));
+        }
+    }
 }

@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use nacu::{Function, Nacu, NacuConfig};
-use nacu_engine::{Engine, EngineConfig, Request, SubmitError, TraceKind};
+use nacu_engine::{Engine, EngineConfig, FaultTolerance, Request, SubmitError, TraceKind};
 use nacu_fixed::{Fx, QFormat, Rounding};
 use nacu_net::{NetClient, ServeNet, Status};
 
@@ -253,13 +253,13 @@ fn requests_after_net_shutdown_answer_shutting_down() {
 /// connection is closed, and pool-served in-process work completes.
 #[test]
 fn a_client_that_never_reads_cannot_hold_a_worker() {
-    // Fast path off, so replies are written by pool workers: a healthy
+    // A clean harness, so replies are written by pool workers: a healthy
     // engine would answer on the reader and never involve a worker.
     let engine = Engine::new(
         EngineConfig::new(NacuConfig::paper_16bit())
             .with_workers(2)
             .with_queue_capacity(256)
-            .with_fast_path(false),
+            .with_fault_tolerance(FaultTolerance::clean_harness(2)),
     )
     .expect("paper config");
     let server = engine.handle().serve_net("127.0.0.1:0").expect("bind");
@@ -350,7 +350,7 @@ fn queue_full_answers_busy_frame_on_a_surviving_connection() {
         EngineConfig::new(NacuConfig::paper_16bit())
             .with_workers(1)
             .with_queue_capacity(1)
-            .with_fast_path(false),
+            .with_fault_tolerance(FaultTolerance::clean_harness(1)),
     )
     .expect("paper config");
     let mut server = engine.handle().serve_net("127.0.0.1:0").expect("bind");

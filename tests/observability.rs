@@ -146,7 +146,10 @@ fn live_scrape_serves_valid_prometheus_and_stable_json() {
     let (status, health) = get(addr, "/health");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
-    assert!(health.contains("\"workers\":2"), "{health}");
+    // A healthy engine computes inline: its census is 0/0, which still
+    // reads as fully in service.
+    assert!(health.contains("\"workers\":0"), "{health}");
+    assert!(health.contains("\"healthy_workers\":0"), "{health}");
 
     // A clean pool under 1-in-8 sampling took real shadow samples and
     // raised no false alarms against the Eq. 7 bounds.
@@ -179,7 +182,7 @@ fn metrics_scrapes_under_load_never_stall_serving() {
         EngineConfig::new(NacuConfig::paper_16bit())
             .with_workers(2)
             .with_queue_capacity(8)
-            .with_fast_path(false),
+            .with_fault_tolerance(FaultTolerance::clean_harness(2)),
     )
     .expect("paper config");
     let fmt = engine.format();
@@ -192,9 +195,10 @@ fn metrics_scrapes_under_load_never_stall_serving() {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // Two producers keep the tiny queue saturated (Busy rejections
-        // are expected and fine — pressure is the point). The fast path
-        // is off, because a healthy engine answers every request inside
-        // `submit` and never queues; softmax walks longest per request.
+        // are expected and fine — pressure is the point). The engine is
+        // a clean harness, because a healthy engine answers every request
+        // inside `submit` and never queues; softmax walks longest per
+        // request.
         for _ in 0..2 {
             let handle = engine.handle();
             let stop = &stop;

@@ -2,9 +2,8 @@
 //! unit keeps serving **bit-exact** answers by quarantining the bad
 //! worker and retrying its batches on healthy peers.
 //!
-//! The pool exists for this: only engines with a fault plan (or the
-//! fast path off) queue work, and their workers walk the checked
-//! datapath with the detectors armed. Wall-time budget: about 0.01 s in
+//! The pool exists for this: only engines with a fault plan queue work,
+//! and their workers walk the checked datapath with the detectors armed. Wall-time budget: about 0.01 s in
 //! the tier-1 run on a 2-vCPU host (test profile); CI's `queue-stress`
 //! job also runs it with `--release`.
 
@@ -123,8 +122,8 @@ fn fully_broken_pool_fails_closed_with_typed_errors() {
 /// The fast-path fallback rule: a worker with an injected LUT fault must
 /// serve from the real datapath, where the parity detector sees the
 /// corrupted net — never from the response tables or the kernel, which
-/// would mask the fault behind golden answers. The fast path is left at
-/// its default (enabled); the fault plan alone forces the fallback.
+/// would mask the fault behind golden answers. The fault plan alone
+/// makes the engine the walking harness.
 #[test]
 fn fault_injected_worker_serves_from_the_datapath_not_the_table() {
     let engine = Engine::new(

@@ -1,6 +1,6 @@
 //! Integration gate for the record/replay harness: the committed golden
 //! trace must decode and replay bit-identically on freshly built engines
-//! regardless of pool width or fast path, recording must be
+//! — a clean walking harness and a healthy inline engine — recording must be
 //! deterministic, a deliberately perturbed datapath must fail the diff,
 //! and the recorder ring must drop-count instead of blocking when full.
 
@@ -9,7 +9,7 @@ use nacu_bench::replay_bench::{
     observable_bias_lsb_plan, perturbed_config, record_mixed_workload, record_stamped_workload,
     replay_on_engine, replay_on_engine_paced, WorkloadSpec,
 };
-use nacu_engine::{Engine, EngineConfig, Request, TraceLog};
+use nacu_engine::{Engine, EngineConfig, FaultTolerance, Request, TraceLog};
 use nacu_fixed::{Fx, Rounding};
 
 fn base() -> EngineConfig {
@@ -40,8 +40,10 @@ fn golden_trace_replays_bit_identically_across_engine_configs() {
         );
     }
     for config in [
-        base().with_workers(1).with_fast_path(false),
-        base().with_workers(4).with_fast_path(true),
+        base()
+            .with_workers(1)
+            .with_fault_tolerance(FaultTolerance::clean_harness(1)),
+        base(),
     ] {
         let engine = Engine::new(config).expect("replay engine");
         let outcome = replay_on_engine(&log, &engine.handle(), 64).expect("replay runs");

@@ -5,15 +5,16 @@
 //! A default engine answers every request inside `EngineHandle::submit`,
 //! on the calling thread: σ/tanh/exp from the response tables at Q4.11
 //! and from the integer kernel at Q4.15, softmax from the kernel at both.
-//! Nothing it serves ever enters the queue. An engine with the fast path
-//! off, or with a fault plan on any worker slot, sends every request
-//! through the queue to a pool worker walking the checked datapath. Both
-//! must reproduce the sequential [`Nacu`] for every code.
+//! It has no queue and no workers, and its answers carry
+//! [`Response::INLINE`]. An engine with any fault plan configured — a
+//! clean one included — sends every request through the queue to a pool
+//! worker walking the checked datapath. Both must reproduce the
+//! sequential [`Nacu`] for every code.
 
 use nacu::{Function, Nacu, NacuConfig};
 use nacu_engine::{
     Engine, EngineConfig, Fault, FaultPlan, FaultTolerance, InjectionSite, Request, Response,
-    Ticket,
+    Stage, Ticket,
 };
 use nacu_fixed::Fx;
 
@@ -29,7 +30,7 @@ const SOFTMAX_LENGTHS: [usize; 4] = [1, 16, 32, 64];
 /// Which side of the serving rule an engine must answer from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Path {
-    /// Inside `submit`: resolved on return, worker index = pool size.
+    /// Inside `submit`: resolved on return, worker = [`Response::INLINE`].
     Inline,
     /// A pool worker: worker index < pool size.
     Pool,
@@ -101,7 +102,7 @@ fn submit(engine: &Engine, request: Request, path: Path) -> Answer {
 /// Checks that `worker` answered from `path`.
 fn assert_path(engine: &Engine, worker: usize, path: Path, what: &str) {
     match path {
-        Path::Inline => assert_eq!(worker, engine.workers(), "{what} left the caller"),
+        Path::Inline => assert_eq!(worker, Response::INLINE, "{what} left the caller"),
         Path::Pool => assert!(worker < engine.workers(), "{what} skipped the pool"),
     }
 }
@@ -148,6 +149,20 @@ fn engine(config: EngineConfig) -> Engine {
     Engine::new(config.with_workers(2).with_queue_capacity(1024)).expect("valid config")
 }
 
+/// A clean two-worker harness: fault plans on both slots, all empty.
+fn clean_harness(config: NacuConfig) -> EngineConfig {
+    EngineConfig::new(config).with_fault_tolerance(FaultTolerance::clean_harness(2))
+}
+
+/// `(queue-wait samples, end-to-end samples)` the engine has recorded.
+fn queue_wait_and_end_to_end(engine: &Engine) -> (u64, u64) {
+    let snap = engine.obs_snapshot();
+    (
+        snap.stage_merged(Stage::QueueWait).count,
+        snap.stage_merged(Stage::EndToEnd).count,
+    )
+}
+
 /// A fault plan on worker slot 1 that the address decoder can never
 /// reach (an entry past the ROM), so the slot is fault-planned, and its
 /// engine queues, while every answer stays golden.
@@ -170,16 +185,20 @@ fn inert_plan(config: &NacuConfig) -> FaultTolerance {
 /// The inline proof at one width: every σ/tanh/exp code and seeded
 /// softmax vectors of every length in [`SOFTMAX_LENGTHS`], through a
 /// default engine. Every ticket is resolved when `submit` returns, every
-/// answer carries the pool size as worker, nothing ever queued, and every
-/// operand was served off the walk.
+/// answer carries the inline marker, the engine has no workers, nothing
+/// ever queued, and every operand was served off the walk.
 fn assert_healthy_engine_computes_on_the_caller(config: NacuConfig) {
     let golden = Nacu::new(config).expect("valid config");
     let codes = every_code(&config);
     let engine = engine(EngineConfig::new(config));
+    assert_eq!(engine.workers(), 0, "a healthy engine starts no worker");
     sweep(&engine, &golden, &codes, Path::Inline);
     softmax_sweep(&engine, &golden, &seeded_vectors(&config, 64), Path::Inline);
+    let (queue_waits, end_to_ends) = queue_wait_and_end_to_end(&engine);
     let m = engine.shutdown();
     assert_eq!(m.queue_depth_high_water, 0, "a healthy engine never queues");
+    assert_eq!(queue_waits, 0, "no request waited in a queue");
+    assert_eq!(end_to_ends, m.requests_completed, "every request timed");
     assert_eq!(m.fast_path_ops, m.total_ops());
     assert_eq!(
         m.softmax_ops,
@@ -209,16 +228,18 @@ fn pool_datapath_matches_the_datapath_for_every_code() {
     let config = NacuConfig::paper_16bit();
     let golden = Nacu::new(config).expect("paper config");
     let codes = every_code(&config);
-    let engine = engine(EngineConfig::new(config).with_fast_path(false));
+    let engine = engine(clean_harness(config));
     sweep(&engine, &golden, &codes, Path::Pool);
+    let (queue_waits, end_to_ends) = queue_wait_and_end_to_end(&engine);
     let m = engine.shutdown();
     assert!(m.queue_depth_high_water > 0);
     assert_eq!(m.fast_path_ops, 0);
+    assert_eq!(queue_waits, m.requests_completed, "one queue wait each");
+    assert_eq!(end_to_ends, m.requests_completed);
 }
 
-/// Softmax on the pool: an engine with a fault plan (fast path on) and a
-/// fast-path-off engine both queue every vector, and their workers walk
-/// the datapath. Every code, as 16-element vectors, must match the
+/// Softmax on the pool: an engine with an inert fault plan and a clean
+/// harness both queue every vector, and their workers walk the datapath. Every code, as 16-element vectors, must match the
 /// sequential `Nacu::softmax` either way.
 #[test]
 fn pool_softmax_matches_the_datapath_for_every_code() {
@@ -229,7 +250,7 @@ fn pool_softmax_matches_the_datapath_for_every_code() {
     let vectors: Vec<Vec<Fx>> = codes.chunks(VECTOR).map(<[Fx]>::to_vec).collect();
     let queueing = [
         EngineConfig::new(config).with_fault_tolerance(inert_plan(&config)),
-        EngineConfig::new(config).with_fast_path(false),
+        clean_harness(config),
     ];
     for config in queueing {
         let engine = engine(config);
@@ -244,9 +265,8 @@ fn pool_softmax_matches_the_datapath_for_every_code() {
 }
 
 /// One worker slot with a fault plan keeps the whole engine on the pool,
-/// fast path on or not, and so does turning the fast path off: every
-/// request of all four functions meets the detectors' workers, at the
-/// paper's width and at Q4.15.
+/// and so do clean plans: every request of all four functions meets the
+/// detectors' workers, at the paper's width and at Q4.15.
 #[test]
 fn an_engine_with_a_fault_plan_serves_through_the_pool() {
     for config in [
@@ -262,7 +282,7 @@ fn an_engine_with_a_fault_plan_serves_through_the_pool() {
                 plans: vec![FaultPlan::new(), plan],
                 ..FaultTolerance::default()
             }),
-            EngineConfig::new(config).with_fast_path(false),
+            clean_harness(config),
         ];
         for engine_config in queueing {
             let engine = engine(engine_config);
