@@ -4,7 +4,7 @@
 //!     metrics_export [--smoke] [--json PATH] [--prom PATH]
 //!
 //! Prints the Prometheus exposition to stdout and, with `--json` /
-//! `--prom`, writes the `nacu-obs/v2` JSON snapshot and the exposition to
+//! `--prom`, writes the `nacu-obs/v3` JSON snapshot and the exposition to
 //! files. CI archives both as the `metrics-snapshot` artifact so every
 //! run leaves an inspectable record of latency distributions, trace
 //! totals, and modeled-vs-measured cycle accounting. Exits non-zero if
@@ -89,9 +89,7 @@ fn main() -> ExitCode {
     let named = engine.metrics().exporter_counters();
     let help = MetricsSnapshot::exporter_help();
     let prom = export::prometheus(&snap, PAPER_CLOCK_HZ, &named, &help);
-    // No telemetry plane here: the windows, exemplars and slo sections
-    // render empty, as on a live `/metrics.json` without telemetry.
-    let json = export::json_v2(&snap, PAPER_CLOCK_HZ, &named, &[], &[], &[]);
+    let json = export::json(&snap, PAPER_CLOCK_HZ, &named);
     engine.shutdown();
 
     print!("{prom}");

@@ -18,8 +18,7 @@
 //!    first scrape must show `/health` `503` with the alarm latched and
 //!    a non-zero `nacu_obs_drift_alarms_total`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 
 use nacu::{Function, Nacu, NacuConfig};
@@ -28,22 +27,11 @@ use nacu_engine::{
     DetectorSet, Engine, EngineConfig, Fault, FaultPlan, FaultTolerance, InjectionSite, Request,
 };
 use nacu_fixed::{Fx, Rounding};
+use nacu_obs::export::JSON_SCHEMA;
 
 /// One raw-socket GET against the scrape server: `(status line, body)`.
 fn get(addr: SocketAddr, path: &str) -> Result<(String, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: smoke\r\n\r\n").as_bytes())
-        .map_err(|e| format!("send GET {path}: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read GET {path}: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed response to GET {path}"))?;
-    let status = head.lines().next().unwrap_or("").to_string();
-    Ok((status, body.to_string()))
+    nacu_bench::http_get(addr, path).map_err(|e| format!("GET {path} from {addr}: {e}"))
 }
 
 fn write_artifact(path: &Option<String>, what: &str, body: &str) -> Result<(), String> {
@@ -177,9 +165,9 @@ fn healthy_scrape(args: &Args) -> Result<(), String> {
         }
     }
     let (status, json) = get(addr, "/metrics.json")?;
-    if status != "HTTP/1.1 200 OK" || !json.contains("\"schema\": \"nacu-obs/v2\"") {
+    if status != "HTTP/1.1 200 OK" || !json.contains(&format!("\"schema\": \"{JSON_SCHEMA}\"")) {
         return Err(format!(
-            "/metrics.json answered {status} without the v2 schema"
+            "/metrics.json answered {status} without the {JSON_SCHEMA} schema"
         ));
     }
     let (status, health) = get(addr, "/health")?;

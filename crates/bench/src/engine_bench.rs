@@ -10,13 +10,10 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nacu::{Function, NacuConfig};
-use nacu_engine::{
-    Engine, EngineConfig, FaultTolerance, LatencyBudget, Request, SloSpec, Stage, SubmitError,
-    ThroughputReport,
-};
+use nacu_engine::{Engine, EngineConfig, FaultTolerance, Request, SubmitError, ThroughputReport};
 use nacu_fixed::{Fx, QFormat, Rounding};
 
 /// One row of the worker-scaling experiment.
@@ -175,65 +172,6 @@ pub fn sampling_overhead(workload: Workload, sample_every: u64, trials: usize) -
     }
     OverheadReport {
         sample_every,
-        baseline_ops_per_sec,
-        sampled_ops_per_sec,
-    }
-}
-
-/// Measures the windowed-telemetry sampler's throughput cost at
-/// `interval`: `trials` interleaved disabled/enabled runs, keeping each
-/// side's best ops/s (same noise discipline as [`sampling_overhead`]).
-/// The enabled side runs a representative SLO set — one latency and one
-/// availability objective — so the per-tick window diff *and* burn-rate
-/// evaluation are both in the measured path. The report's `sample_every`
-/// field carries the interval in **milliseconds** (the sampler is
-/// time-based, not decimation-based).
-///
-/// # Panics
-///
-/// Panics if the paper configuration fails to validate (it never does).
-#[must_use]
-pub fn telemetry_overhead(workload: Workload, interval: Duration, trials: usize) -> OverheadReport {
-    let slos = vec![
-        SloSpec::latency(
-            "e2e_p99",
-            Stage::EndToEnd,
-            workload.function,
-            0.99,
-            LatencyBudget::ModeledMultiple(1000.0),
-            10.0,
-        ),
-        SloSpec::availability(
-            "served",
-            &["nacu_engine_requests_expired_total"],
-            "nacu_engine_requests_submitted_total",
-            0.01,
-            10.0,
-        ),
-    ];
-    let mut baseline_ops_per_sec = 0.0f64;
-    let mut sampled_ops_per_sec = 0.0f64;
-    for _ in 0..trials.max(1) {
-        for (telemetry, best) in [
-            (false, &mut baseline_ops_per_sec),
-            (true, &mut sampled_ops_per_sec),
-        ] {
-            let mut config = EngineConfig::new(NacuConfig::paper_16bit())
-                .with_workers(2)
-                .with_queue_capacity(512)
-                .with_max_coalesced_requests(32)
-                .with_health_sampling(0);
-            if telemetry {
-                config = config.with_telemetry(interval).with_slos(slos.clone());
-            }
-            let engine = Engine::new(config).expect("paper config");
-            let row = drive(&engine, workload);
-            engine.shutdown();
-            *best = best.max(row.ops_per_sec);
-        }
-    }
-    OverheadReport {
-        sample_every: interval.as_millis().max(1) as u64,
         baseline_ops_per_sec,
         sampled_ops_per_sec,
     }

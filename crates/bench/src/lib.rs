@@ -39,6 +39,29 @@ pub mod scaling;
 pub mod table1;
 pub mod width_sweep;
 
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+
+/// One blocking `GET path` against an HTTP/1.1 server that closes each
+/// connection after its response, such as the `nacu-obs` scrape server.
+/// Returns the status line and the body.
+///
+/// # Errors
+///
+/// Any transport failure, or a response without a blank line ending
+/// its head (`InvalidData`).
+pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(String, String)> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(format!("GET {path} HTTP/1.1\r\nHost: nacu\r\n\r\n").as_bytes())?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "response without a head"))?;
+    let status = head.lines().next().unwrap_or("").to_string();
+    Ok((status, body.to_string()))
+}
+
 /// Renders a float in compact scientific notation for table cells.
 #[must_use]
 pub fn sci(v: f64) -> String {

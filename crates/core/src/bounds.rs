@@ -12,6 +12,7 @@ use nacu_funcapprox::reference::RefFunc;
 
 use crate::config::NacuConfig;
 use crate::error_prop;
+use crate::format::DatapathWords;
 
 /// Error-budget decomposition for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,9 +64,8 @@ impl ErrorBudget {
 pub fn budget(config: &NacuConfig) -> ErrorBudget {
     config.validate().expect("valid configuration");
     let fmt = config.format;
-    let n = fmt.total_bits();
-    let coef_fmt = QFormat::new(1, n - 2).expect("coef format");
-    let bias_fmt = QFormat::new(2, n - 3).expect("bias format");
+    let words = DatapathWords::for_format(fmt).expect("valid configuration");
+    let (coef_fmt, bias_fmt) = (words.coef, words.bias);
     let width = fmt.max_value() / config.lut_entries as f64;
     // Max |σ''| over x ≥ 0 is at x = ln(2 + √3) ≈ 1.317: |σ''| ≈ 0.0962.
     let max_curvature = sigma_second_derivative_max();

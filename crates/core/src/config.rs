@@ -132,7 +132,8 @@ impl NacuConfig {
     /// # Errors
     ///
     /// Returns [`NacuError::FormatTooNarrow`] if no `i_b` satisfies Eq. 7
-    /// at this width.
+    /// at this width, or any other [`NacuConfig::validate`] failure (past
+    /// [`NacuConfig::max_width`], the datapath words do not fit).
     pub fn for_width(total_bits: u32) -> Result<Self, NacuError> {
         let fmt = format::recommended_format(total_bits).ok_or(NacuError::FormatTooNarrow {
             int_bits: 0,
@@ -143,11 +144,24 @@ impl NacuConfig {
         let entries = (53.0 * 2.0_f64.powf((f64::from(fmt.frac_bits()) - 11.0) / 2.0))
             .round()
             .clamp(4.0, 4096.0) as usize;
-        Ok(Self {
+        let config = Self {
             format: fmt,
             lut_entries: entries,
             fit_method: FitMethod::Minimax,
-        })
+        };
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// The widest `N` [`NacuConfig::for_width`] accepts: past it the
+    /// softmax accumulator, the datapath's widest word (see
+    /// [`format::DatapathWords`]), outgrows 63 bits.
+    #[must_use]
+    pub fn max_width() -> u32 {
+        (2..=63)
+            .rev()
+            .find(|&n| Self::for_width(n).is_ok())
+            .expect("the paper's 16-bit unit is valid")
     }
 
     /// Replaces the LUT entry count.
@@ -164,12 +178,15 @@ impl NacuConfig {
         self
     }
 
-    /// Validates the configuration against Eq. 7 and the LUT size limits.
+    /// Validates the configuration against Eq. 7, the datapath word sizes
+    /// and the LUT size limits.
     ///
     /// # Errors
     ///
     /// [`NacuError::FormatTooNarrow`] if Eq. 7 fails for the format,
-    /// [`NacuError::BadLutSize`] for a zero or oversized LUT.
+    /// [`NacuError::DatapathWordUnfit`] if a datapath word derived from
+    /// it does not fit, [`NacuError::BadLutSize`] for a zero or
+    /// oversized LUT.
     pub fn validate(&self) -> Result<(), NacuError> {
         if !format::eq7_holds(self.format, self.format) {
             let required = format::min_int_bits(self.format.total_bits())
@@ -179,6 +196,7 @@ impl NacuConfig {
                 required,
             });
         }
+        format::DatapathWords::for_format(self.format)?;
         let codes = usize::try_from(self.format.max_raw()).unwrap_or(usize::MAX);
         if self.lut_entries == 0 || self.lut_entries > codes {
             return Err(NacuError::BadLutSize {
@@ -246,6 +264,41 @@ mod tests {
         assert!(matches!(
             cfg.validate(),
             Err(NacuError::FormatTooNarrow { .. })
+        ));
+    }
+
+    #[test]
+    fn the_softmax_accumulator_sets_the_widest_width() {
+        // At 52 bits Eq. 7 gives Q5.46 and the accumulator Q12.49 (62
+        // bits); at 53 it gives Q6.46 and the accumulator would need 64.
+        assert_eq!(NacuConfig::max_width(), 52);
+        assert!(NacuConfig::for_width(52).is_ok());
+        for n in 53..=63 {
+            assert!(
+                matches!(
+                    NacuConfig::for_width(n),
+                    Err(NacuError::DatapathWordUnfit {
+                        word: "softmax accumulator",
+                        ..
+                    })
+                ),
+                "width {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_two_bit_format_is_refused_not_underflowed() {
+        // Q1.0 satisfies Eq. 7 (it has no fractional bits to resolve),
+        // but its bias word Q2.(N−3) cannot be formed.
+        let cfg = NacuConfig {
+            format: QFormat::new(1, 0).unwrap(),
+            lut_entries: 1,
+            fit_method: FitMethod::Minimax,
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(NacuError::DatapathWordUnfit { word: "bias", .. })
         ));
     }
 

@@ -34,6 +34,7 @@ use nacu_funcapprox::segment::{self, Segment};
 use crate::bias;
 use crate::config::{Function, NacuConfig};
 use crate::divider;
+use crate::format::DatapathWords;
 use crate::NacuError;
 
 /// The named nets of the Fig. 2 walk, one hook per net.
@@ -116,6 +117,8 @@ pub struct Nacu {
     /// Bias format `Q2.(N−3)`; also the divider's working format (holds
     /// σ ∈ [0.5, 1], σ′ ∈ [1, 2]).
     bias_fmt: QFormat,
+    /// Softmax denominator accumulator `Q(i_b+7).(N−3)`.
+    acc_fmt: QFormat,
 }
 
 impl Nacu {
@@ -128,13 +131,18 @@ impl Nacu {
     pub fn new(config: NacuConfig) -> Result<Self, NacuError> {
         config.validate()?;
         let fmt = config.format;
-        let n = fmt.total_bits();
-        let coef_fmt = QFormat::new(1, n - 2).expect("coef format");
-        let bias_fmt = QFormat::new(2, n - 3).expect("bias format");
-        // Uniform segment boundaries in raw input codes over [0, max_raw].
-        let entries_n = config.lut_entries as i64;
-        let span = fmt.max_raw() + 1;
-        let mut bounds: Vec<i64> = (0..=entries_n).map(|i| i * span / entries_n).collect();
+        let DatapathWords {
+            coef: coef_fmt,
+            bias: bias_fmt,
+            acc: acc_fmt,
+        } = DatapathWords::for_format(fmt)?;
+        // Uniform segment boundaries in raw input codes over [0, max_raw],
+        // in `i128`: entries × 2^(N−1) outgrows `i64` past 51 bits.
+        let entries_n = config.lut_entries as i128;
+        let span = i128::from(fmt.max_raw()) + 1;
+        let mut bounds: Vec<i64> = (0..=entries_n)
+            .map(|i| (i * span / entries_n) as i64)
+            .collect();
         bounds.dedup();
         let res = fmt.resolution();
         let entries = bounds
@@ -154,6 +162,7 @@ impl Nacu {
             bounds,
             coef_fmt,
             bias_fmt,
+            acc_fmt,
         })
     }
 
@@ -426,7 +435,7 @@ impl Nacu {
         // denominator in a widened accumulator (Fig. 2's feedback path).
         let work_fmt = self.bias_fmt;
         let wf = work_fmt.frac_bits();
-        let acc_fmt = QFormat::new(self.config.format.int_bits() + 7, wf).expect("acc format");
+        let acc_fmt = self.acc_fmt;
         let mut denom = Fx::zero(acc_fmt);
         let mut exps = Vec::with_capacity(inputs.len());
         for &x in inputs {
@@ -574,9 +583,7 @@ impl Nacu {
         }
         let max = xs.iter().map(Fx::raw).max().ok_or(NacuError::EmptyVector)?;
         let (f, wf) = (fmt.frac_bits(), self.bias_fmt.frac_bits());
-        let acc_max = QFormat::new(fmt.int_bits() + 7, wf)
-            .expect("acc format")
-            .max_raw();
+        let acc_max = self.acc_fmt.max_raw();
         // Pass 1: e^{x−max} in place (output format), the denominator in
         // the accumulator at the working word's scale.
         let mut denom: i64 = 0;

@@ -22,6 +22,15 @@ pub enum NacuError {
         /// The offending entry count.
         entries: usize,
     },
+    /// A datapath word derived from the I/O format (see
+    /// [`crate::format::DatapathWords`]) does not fit a fixed-point word
+    /// of 2 to 63 bits, so no unit can be built at this width.
+    DatapathWordUnfit {
+        /// The word that does not fit.
+        word: &'static str,
+        /// Width `N` of the I/O format it derives from.
+        total_bits: u32,
+    },
     /// Softmax was asked to normalise an empty vector.
     EmptyVector,
     /// An underlying fixed-point operation failed.
@@ -38,6 +47,10 @@ impl fmt::Display for NacuError {
             NacuError::BadLutSize { entries } => {
                 write!(f, "invalid coefficient LUT size: {entries}")
             }
+            NacuError::DatapathWordUnfit { word, total_bits } => write!(
+                f,
+                "the {word} word of a {total_bits}-bit datapath does not fit 2 to 63 bits"
+            ),
             NacuError::EmptyVector => write!(f, "softmax of an empty vector"),
             NacuError::Fixed(e) => write!(f, "fixed-point failure: {e}"),
         }

@@ -15,6 +15,8 @@
 
 use nacu_fixed::QFormat;
 
+use crate::NacuError;
+
 /// The largest representable input, `In_max = 2^{i_b} − 2^{−f_b}` (Eq. 6).
 #[must_use]
 pub fn in_max(format: QFormat) -> f64 {
@@ -67,6 +69,51 @@ pub fn min_int_bits(total_bits: u32) -> Option<u32> {
 pub fn recommended_format(total_bits: u32) -> Option<QFormat> {
     let ib = min_int_bits(total_bits)?;
     QFormat::new(ib, total_bits - 1 - ib).ok()
+}
+
+/// The words the Fig. 2 datapath computes in, each derived from the
+/// I/O format `Q(i_b).(f_b)` of width `N`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatapathWords {
+    /// The LUT slope word `Q1.(N−2)`.
+    pub coef: QFormat,
+    /// The LUT bias word `Q2.(N−3)`; also the divider's working word
+    /// (it holds σ ∈ [0.5, 1] and σ′ ∈ [1, 2]).
+    pub bias: QFormat,
+    /// The softmax denominator accumulator `Q(i_b+7).(N−3)`: the MAC
+    /// feedback path widens the working word by the input's integer bits
+    /// and 7 guard bits. It is the widest word, so it sets the widest
+    /// supported `N`.
+    pub acc: QFormat,
+}
+
+impl DatapathWords {
+    /// The datapath words of `format`.
+    ///
+    /// # Errors
+    ///
+    /// [`NacuError::DatapathWordUnfit`] naming the first word that falls
+    /// outside the 2 to 63 bits a [`QFormat`] holds.
+    pub fn for_format(format: QFormat) -> Result<Self, NacuError> {
+        let n = format.total_bits();
+        let word = |name, int_bits, frac_bits: Option<u32>| {
+            frac_bits
+                .and_then(|frac_bits| QFormat::new(int_bits, frac_bits).ok())
+                .ok_or(NacuError::DatapathWordUnfit {
+                    word: name,
+                    total_bits: n,
+                })
+        };
+        Ok(Self {
+            coef: word("slope", 1, n.checked_sub(2))?,
+            bias: word("bias", 2, n.checked_sub(3))?,
+            acc: word(
+                "softmax accumulator",
+                format.int_bits() + 7,
+                n.checked_sub(3),
+            )?,
+        })
+    }
 }
 
 /// One row of the §III dimensioning table.

@@ -92,7 +92,7 @@ use nacu_obs::Obs;
 pub use batch::{Request, RequestError, Response};
 pub use executor::{BatchExecutor, ExecutorKind, ExecutorSelect};
 pub use metrics::{Counter, EngineMetrics, MetricsSnapshot};
-pub use report::{LatencySummary, ThroughputReport, WindowLine, PAPER_CLOCK_HZ};
+pub use report::{LatencySummary, ThroughputReport, PAPER_CLOCK_HZ};
 pub use wake::{Completer, TicketFuture};
 // Re-exported so engine clients can build fault policies without naming
 // nacu-faults directly.
@@ -190,17 +190,6 @@ pub struct EngineConfig {
     /// codes fit the log's i16 fields (≤ 16 bits); wider engines run
     /// unrecorded, the same eligibility rule as the net wire plane.
     pub record_capacity: usize,
-    /// Windowed-telemetry sampling cadence, `None` to run without the
-    /// sampler thread (the default). With an interval set, a background
-    /// thread snapshots the engine's histograms and counters into a
-    /// bounded [`nacu_obs::TelemetrySeries`] every tick, re-evaluates the
-    /// configured SLOs, and exposes the rolling windows via
-    /// [`EngineHandle::telemetry`] and the scrape server (`/slo`,
-    /// windowed sections in both `/metrics` formats).
-    pub telemetry_interval: Option<Duration>,
-    /// SLO objectives the sampler judges each tick (see
-    /// [`nacu_obs::SloSpec`]); ignored without a telemetry interval.
-    pub slos: Vec<SloSpec>,
 }
 
 impl EngineConfig {
@@ -217,8 +206,6 @@ impl EngineConfig {
             fault_tolerance: FaultTolerance::default(),
             health_sample_every: nacu_obs::DEFAULT_SAMPLE_EVERY,
             record_capacity: 0,
-            telemetry_interval: None,
-            slos: Vec::new(),
         }
     }
 
@@ -269,21 +256,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_recording(mut self, capacity: usize) -> Self {
         self.record_capacity = capacity;
-        self
-    }
-
-    /// Enables the windowed-telemetry sampler at `interval` (see
-    /// [`EngineConfig::telemetry_interval`]).
-    #[must_use]
-    pub fn with_telemetry(mut self, interval: Duration) -> Self {
-        self.telemetry_interval = Some(interval);
-        self
-    }
-
-    /// Sets the SLO objectives the sampler judges each tick.
-    #[must_use]
-    pub fn with_slos(mut self, slos: Vec<SloSpec>) -> Self {
-        self.slos = slos;
         self
     }
 }
@@ -547,9 +519,6 @@ struct Shared {
     default_deadline: Option<Duration>,
     /// Monotone request-id source; ids start at 1 so 0 can mean "no id".
     next_request_id: AtomicU64,
-    /// Windowed-telemetry plane, present when
-    /// [`EngineConfig::telemetry_interval`] is set.
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 /// How an engine serves: the one rule is that an engine configured with
@@ -714,16 +683,6 @@ impl EngineHandle {
         self.shared.books.obs.record_trace(submitted);
     }
 
-    /// The engine's windowed-telemetry plane — present when the engine
-    /// was built with [`EngineConfig::with_telemetry`]. Exposes the
-    /// rolling 10s/1m/5m windows ([`Telemetry::series`]) and the SLO
-    /// burn-rate statuses ([`Telemetry::statuses`]) the sampler thread
-    /// keeps fresh.
-    #[must_use]
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.telemetry.clone()
-    }
-
     /// The engine's trace recorder — present when the engine was built
     /// with [`EngineConfig::with_recording`] and the format's codes fit
     /// the trace log's i16 fields. Drain completed records with
@@ -844,10 +803,6 @@ impl ScrapeSource for HandleSource {
             healthy: self.shared.healthy_workers(),
         }
     }
-
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.telemetry.clone()
-    }
 }
 
 // `Obs`, `ObsSnapshot`, the trace/histogram types and the health/scrape
@@ -855,9 +810,8 @@ impl ScrapeSource for HandleSource {
 // nacu-obs directly.
 pub use nacu_obs::{
     DriftAlarm, DriftKind, Exemplar, HealthConfig, HealthRow, HealthSnapshot, HistogramSnapshot,
-    LatencyBudget, Obs as Observability, ObsServer, ObsSnapshot, ScrapeSource, SloObjective,
-    SloSpec, SloStatus, Stage, Telemetry, TraceEvent, TraceKind, WindowDelta, WorkerCensus,
-    DEFAULT_SAMPLE_EVERY, WINDOWS,
+    Obs as Observability, ObsServer, ObsSnapshot, ScrapeSource, Stage, TraceEvent, TraceKind,
+    WorkerCensus, DEFAULT_SAMPLE_EVERY,
 };
 
 /// A [`EngineHandle::submit_wait`] failure from either phase.
@@ -891,10 +845,6 @@ pub struct Engine {
     /// The harness's worker threads; empty for a healthy engine.
     handles: Vec<JoinHandle<()>>,
     started: Instant,
-    /// Stop flag + join handle for the telemetry sampler thread, present
-    /// when [`EngineConfig::telemetry_interval`] is set.
-    sampler_stop: Arc<AtomicBool>,
-    sampler: Option<JoinHandle<()>>,
 }
 
 impl Engine {
@@ -954,23 +904,6 @@ impl Engine {
             let handles = pool::spawn_workers(&harness);
             (Serve::Harness(harness), handles)
         };
-        let telemetry = config.telemetry_interval.map(|interval| {
-            Arc::new(Telemetry::new(
-                nacu_obs::DEFAULT_SAMPLE_CAPACITY,
-                interval,
-                PAPER_CLOCK_HZ,
-                config.slos,
-            ))
-        });
-        let sampler_stop = Arc::new(AtomicBool::new(false));
-        let sampler = telemetry.as_ref().map(|telemetry| {
-            spawn_sampler(
-                Arc::clone(telemetry),
-                Arc::clone(&books.obs),
-                Arc::clone(&books.metrics),
-                Arc::clone(&sampler_stop),
-            )
-        });
         Ok(Self {
             shared: Arc::new(Shared {
                 books,
@@ -978,12 +911,9 @@ impl Engine {
                 format,
                 default_deadline: config.default_deadline,
                 next_request_id: AtomicU64::new(0),
-                telemetry,
             }),
             handles,
             started: Instant::now(),
-            sampler_stop,
-            sampler,
         })
     }
 
@@ -1035,13 +965,6 @@ impl Engine {
         Arc::clone(&self.shared.books.obs)
     }
 
-    /// The engine's windowed-telemetry plane (see
-    /// [`EngineHandle::telemetry`]).
-    #[must_use]
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.telemetry.clone()
-    }
-
     /// A coherent point-in-time observability snapshot.
     #[must_use]
     pub fn obs_snapshot(&self) -> ObsSnapshot {
@@ -1059,13 +982,8 @@ impl Engine {
         baseline_taken: Instant,
     ) -> ThroughputReport {
         let delta = self.metrics().since(baseline);
-        let report =
-            ThroughputReport::from_interval(&delta, baseline_taken.elapsed(), self.workers())
-                .with_observability(&self.obs_snapshot());
-        match &self.shared.telemetry {
-            Some(telemetry) => report.with_windows(telemetry),
-            None => report,
-        }
+        ThroughputReport::from_interval(&delta, baseline_taken.elapsed(), self.workers())
+            .with_observability(&self.obs_snapshot())
     }
 
     /// Throughput over the engine's whole lifetime so far, latency
@@ -1073,13 +991,8 @@ impl Engine {
     #[must_use]
     pub fn lifetime_report(&self) -> ThroughputReport {
         let delta = self.metrics();
-        let report =
-            ThroughputReport::from_interval(&delta, self.started.elapsed(), self.workers())
-                .with_observability(&self.obs_snapshot());
-        match &self.shared.telemetry {
-            Some(telemetry) => report.with_windows(telemetry),
-            None => report,
-        }
+        ThroughputReport::from_interval(&delta, self.started.elapsed(), self.workers())
+            .with_observability(&self.obs_snapshot())
     }
 
     /// Stops accepting work — for a harness engine, also drains the
@@ -1099,52 +1012,7 @@ impl Engine {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        self.sampler_stop.store(true, Ordering::Release);
-        if let Some(sampler) = self.sampler.take() {
-            sampler.thread().unpark();
-            let _ = sampler.join();
-        }
     }
-}
-
-/// Spawns the telemetry sampler: a parked loop that, every tick, diffs
-/// the engine's observability snapshot into the windowed series,
-/// re-evaluates the SLOs, and turns status edges into counters and trace
-/// events. `park_timeout` (not `sleep`) so shutdown can cut a long
-/// interval short with one `unpark`.
-fn spawn_sampler(
-    telemetry: Arc<Telemetry>,
-    obs: Arc<Obs>,
-    metrics: Arc<EngineMetrics>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    let interval = telemetry.interval();
-    std::thread::Builder::new()
-        .name("nacu-telemetry".into())
-        .spawn(move || loop {
-            std::thread::park_timeout(interval);
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let counters = metrics.snapshot().exporter_counters();
-            let statuses = telemetry.sample(obs.snapshot(), counters);
-            metrics.add(Counter::TelemetrySamples, 1);
-            for status in &statuses {
-                if status.tripped_now {
-                    metrics.add(Counter::SloAlarmTrips, 1);
-                    obs.record_trace(TraceKind::SloBurn {
-                        slo: status.name,
-                        active: true,
-                    });
-                } else if status.cleared_now {
-                    obs.record_trace(TraceKind::SloBurn {
-                        slo: status.name,
-                        active: false,
-                    });
-                }
-            }
-        })
-        .expect("spawn telemetry sampler")
 }
 
 impl Drop for Engine {
@@ -1408,55 +1276,6 @@ mod tests {
         let wide =
             Engine::new(EngineConfig::new(wide_config).with_recording(8)).expect("valid config");
         assert!(wide.handle().recorder().is_none());
-    }
-
-    /// The sampler thread ticks, feeds the windowed series, counts its
-    /// samples, and shuts down cleanly; an engine without a telemetry
-    /// interval exposes no plane and takes no samples.
-    #[test]
-    fn telemetry_sampler_ticks_and_shuts_down() {
-        let plain = engine(1);
-        assert!(plain.telemetry().is_none());
-        assert_eq!(plain.shutdown().telemetry_samples, 0);
-
-        let engine = Engine::new(
-            EngineConfig::new(NacuConfig::paper_16bit())
-                .with_workers(1)
-                .with_telemetry(Duration::from_millis(2))
-                .with_slos(vec![SloSpec::latency(
-                    "e2e_p99",
-                    Stage::EndToEnd,
-                    Function::Sigmoid,
-                    0.99,
-                    LatencyBudget::Nanos(1_000_000_000),
-                    10.0,
-                )]),
-        )
-        .expect("paper config");
-        let fmt = engine.format();
-        let handle = engine.handle();
-        assert!(handle.telemetry().is_some());
-        engine
-            .submit(Request::new(Function::Sigmoid, operands(fmt, 4)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while engine.metrics().telemetry_samples < 3 {
-            assert!(Instant::now() < deadline, "sampler never ticked");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let telemetry = engine.telemetry().expect("telemetry configured");
-        let statuses = telemetry.statuses();
-        assert_eq!(statuses.len(), 1);
-        assert_eq!(statuses[0].name, "e2e_p99");
-        assert!(!statuses[0].active, "a 1s budget cannot be burning");
-        let window = telemetry.series().window(Duration::from_secs(60));
-        assert!(window.samples > 0);
-        assert!(window.stage_merged(Stage::EndToEnd).count >= 1);
-        let m = engine.shutdown();
-        assert!(m.telemetry_samples >= 3);
-        assert_eq!(m.slo_alarm_trips, 0);
     }
 
     #[test]

@@ -218,11 +218,6 @@ counters! {
     replay_requests_replayed: Sum(ReplayRequestsReplayed) => "nacu_replay_requests_replayed_total";
     /// Replayed responses that differed bit-wise from their recording.
     replay_divergences: Sum(ReplayDivergences) => "nacu_replay_divergences_total";
-    /// Windowed-telemetry samples taken by the sampler thread (0 when
-    /// telemetry is disabled).
-    telemetry_samples: Sum(TelemetrySamples) => "nacu_engine_telemetry_samples_total";
-    /// SLO burn-rate alarms latched (rising edges across all SLOs).
-    slo_alarm_trips: Sum(SloAlarmTrips) => "nacu_engine_slo_alarm_trips_total";
     /// Deepest the submission queue has ever been.
     queue_depth_high_water: Max(QueueDepthHighWater) => "nacu_engine_queue_depth_high_water";
 }
@@ -331,7 +326,7 @@ mod tests {
 
     /// The exporter names in their published order: a renamed, dropped or
     /// reordered series breaks every dashboard that reads it.
-    const EXPORTED: [&str; 27] = [
+    const EXPORTED: [&str; 25] = [
         "nacu_engine_requests_submitted_total",
         "nacu_engine_requests_completed_total",
         "nacu_engine_requests_expired_total",
@@ -356,8 +351,6 @@ mod tests {
         "nacu_replay_records_dropped_total",
         "nacu_replay_requests_replayed_total",
         "nacu_replay_divergences_total",
-        "nacu_engine_telemetry_samples_total",
-        "nacu_engine_slo_alarm_trips_total",
         "nacu_engine_queue_depth_high_water",
     ];
 

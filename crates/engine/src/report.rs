@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use nacu::pipeline::{checked_latency_cycles, latency_cycles};
 use nacu::Function;
-use nacu_obs::{HistogramSnapshot, ObsSnapshot, Stage, Telemetry, WINDOWS};
+use nacu_obs::{HistogramSnapshot, ObsSnapshot, Stage};
 
 use crate::metrics::MetricsSnapshot;
 
@@ -86,23 +86,6 @@ impl LatencySummary {
     }
 }
 
-/// One rolling-window row of the report: recent traffic as the windowed
-/// telemetry sampler saw it, next to the lifetime aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WindowLine {
-    /// Window label ("10s", "1m", "5m" — see [`nacu_obs::WINDOWS`]).
-    pub label: &'static str,
-    /// Sampled span actually covered, ns (shorter than the nominal
-    /// window until enough samples accumulate).
-    pub span_ns: u64,
-    /// Requests completed inside the window (end-to-end samples).
-    pub requests: u64,
-    /// End-to-end p99 inside the window, ns.
-    pub p99_e2e_ns: u64,
-    /// Operands per second inside the window.
-    pub ops_per_sec: f64,
-}
-
 /// A throughput measurement over one serving interval.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ThroughputReport {
@@ -151,10 +134,6 @@ pub struct ThroughputReport {
     /// Shadow samples whose error exceeded the Eq. 7 / Eq. 16 budget.
     /// Zeroed until filled by [`ThroughputReport::with_observability`].
     pub drift_alarms: u64,
-    /// Rolling-window rows (one per [`nacu_obs::WINDOWS`] entry), all
-    /// `None` until filled by [`ThroughputReport::with_windows`] — i.e.
-    /// on engines running the telemetry sampler.
-    pub windows: [Option<WindowLine>; WINDOWS.len()],
 }
 
 impl ThroughputReport {
@@ -179,7 +158,6 @@ impl ThroughputReport {
             measured_batch_ns: 0,
             health_samples: 0,
             drift_alarms: 0,
-            windows: [None; WINDOWS.len()],
         }
     }
 
@@ -196,24 +174,6 @@ impl ThroughputReport {
         self.measured_batch_ns = totals.measured_ns;
         self.health_samples = obs.health.total_samples();
         self.drift_alarms = obs.health.total_alarms();
-        self
-    }
-
-    /// Fills the rolling-window rows from a live telemetry plane (see
-    /// [`crate::EngineHandle::telemetry`]).
-    #[must_use]
-    pub fn with_windows(mut self, telemetry: &Telemetry) -> Self {
-        for (slot, &(label, duration)) in self.windows.iter_mut().zip(WINDOWS.iter()) {
-            let window = telemetry.series().window(duration);
-            let e2e = window.stage_merged(Stage::EndToEnd);
-            *slot = Some(WindowLine {
-                label,
-                span_ns: window.span_ns,
-                requests: e2e.count,
-                p99_e2e_ns: e2e.p99(),
-                ops_per_sec: window.per_second(window.total_ops()),
-            });
-        }
         self
     }
 
@@ -350,13 +310,6 @@ impl std::fmt::Display for ThroughputReport {
                 self.health_samples, self.drift_alarms,
             )?;
         }
-        for line in self.windows.iter().flatten() {
-            write!(
-                f,
-                "; [{}] {} req, p99 {} ns, {:.0} ops/s",
-                line.label, line.requests, line.p99_e2e_ns, line.ops_per_sec,
-            )?;
-        }
         Ok(())
     }
 }
@@ -434,32 +387,6 @@ mod tests {
         assert_eq!(modeled_checked_batch_cycles(Function::Exp, 50), 58);
         assert_eq!(modeled_checked_batch_cycles(Function::Softmax, 16), 2 * 24);
         assert_eq!(modeled_checked_batch_cycles(Function::Tanh, 0), 0);
-    }
-
-    #[test]
-    fn with_windows_fills_rolling_rows_from_a_telemetry_plane() {
-        use nacu_obs::Obs;
-        let telemetry = Telemetry::new(8, Duration::from_secs(1), PAPER_CLOCK_HZ, Vec::new());
-        let obs = Obs::with_trace_capacity(4);
-        for _ in 0..10 {
-            obs.record_latency(Stage::EndToEnd, Function::Sigmoid, 40_000);
-        }
-        obs.cycles()
-            .record_batch(Function::Sigmoid, 10, 12, 13, 400_000);
-        telemetry
-            .series()
-            .push_at(1_000_000_000, obs.snapshot(), Vec::new());
-        let r = ThroughputReport::default().with_windows(&telemetry);
-        for (line, &(label, _)) in r.windows.iter().zip(WINDOWS.iter()) {
-            let line = line.expect("every window row filled");
-            assert_eq!(line.label, label);
-            assert_eq!(line.requests, 10);
-            assert!(line.p99_e2e_ns >= 40_000);
-            assert!((line.ops_per_sec - 10.0).abs() < 1e-9);
-        }
-        let rendered = format!("{r}");
-        assert!(rendered.contains("[10s] 10 req"), "{rendered}");
-        assert!(rendered.contains("[5m]"), "{rendered}");
     }
 
     #[test]

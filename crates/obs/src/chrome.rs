@@ -203,16 +203,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     &format!("\"kind\":\"{}\"", kind.name()),
                 );
             }
-            TraceKind::SloBurn { slo, active } => {
-                instant(
-                    &mut out,
-                    "slo_burn",
-                    1,
-                    0,
-                    at,
-                    &format!("\"slo\":\"{slo}\",\"active\":{active}"),
-                );
-            }
             TraceKind::TailExemplar {
                 req,
                 conn,

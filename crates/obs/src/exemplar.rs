@@ -3,8 +3,8 @@
 //! Histograms tell you *that* the tail is slow; exemplars tell you *who*
 //! was slow. When a tagged latency record lands within 2× of the
 //! stage's observed maximum, the request id, connection id, and value
-//! are stashed in a small bounded ring, so a scrape of `/slo` or
-//! `/metrics.json` (v2) can point at real requests — and real network
+//! are stashed in a small bounded ring, so a scrape of `/metrics` or
+//! `/metrics.json` can point at real requests — and real network
 //! connections — instead of an anonymous bucket. Each capture also emits
 //! a [`TraceKind::TailExemplar`](crate::trace::TraceKind::TailExemplar)
 //! event, so exemplars land in the flight recorder (`/trace`) next to
@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use nacu::Function;
@@ -117,13 +117,12 @@ impl ExemplarRing {
         }
     }
 
-    /// The retained exemplars, oldest first.
+    /// The retained exemplars, oldest first. Waits out a capture in
+    /// progress (a capture never waits on it: it skips instead).
     #[must_use]
     pub fn snapshot(&self) -> Vec<Exemplar> {
-        match self.ring.try_lock() {
-            Ok(ring) => ring.iter().copied().collect(),
-            Err(_) => Vec::new(),
-        }
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        ring.iter().copied().collect()
     }
 
     /// Exemplars captured since construction.

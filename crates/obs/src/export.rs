@@ -5,7 +5,7 @@
 //! string. The output shapes are **pinned by snapshot tests** — CI
 //! consumers (dashboards, the `metrics-snapshot` artifact, the bench
 //! gates) parse them, so any change here must be deliberate and
-//! versioned: bump [`JSON_SCHEMA_V2`] when the JSON layout changes.
+//! versioned: bump [`JSON_SCHEMA`] when the JSON layout changes.
 //!
 //! Histogram exposition follows the Prometheus histogram convention —
 //! cumulative `_bucket{le="…"}` series plus `_sum` and `_count` — with
@@ -16,17 +16,14 @@
 
 use nacu::Function;
 
-use crate::exemplar::Exemplar;
 use crate::health::HealthSnapshot;
 use crate::hist::{bucket_upper_bound, HistogramSnapshot};
-use crate::slo::SloStatus;
-use crate::window::WindowDelta;
 use crate::{ObsSnapshot, Stage, ACCOUNTED_FUNCTIONS};
 
-/// Version tag of the JSON layout produced by [`json_v2`]: `histograms`,
-/// `cycles`, `trace`, `health`, `windows`, `exemplars`, `slo` and
-/// `counters`, in that order. Bump it when the layout changes.
-pub const JSON_SCHEMA_V2: &str = "nacu-obs/v2";
+/// Version tag of the JSON layout produced by [`json`]: `histograms`,
+/// `cycles`, `trace`, `health`, `exemplars` and `counters`, in that
+/// order. Bump it when the layout changes.
+pub const JSON_SCHEMA: &str = "nacu-obs/v3";
 
 /// Renders `f64` for both exporters: finite shortest round-trip, with
 /// non-finite values (impossible from our derivations, which guard their
@@ -194,6 +191,21 @@ pub fn prometheus(
         snap.trace.recorded, snap.trace.dropped, snap.trace.capacity
     ));
 
+    out.push_str(
+        "# HELP nacu_obs_exemplar_ns Tail-latency exemplars: one concrete request per series.\n\
+         # TYPE nacu_obs_exemplar_ns gauge\n",
+    );
+    for e in &snap.exemplars {
+        out.push_str(&format!(
+            "nacu_obs_exemplar_ns{{stage=\"{}\",function=\"{}\",req=\"{}\",conn=\"{}\"}} {}\n",
+            e.stage.name(),
+            e.function,
+            e.req,
+            e.conn,
+            e.value_ns
+        ));
+    }
+
     prometheus_health(&mut out, &snap.health);
 
     for (name, value) in counters {
@@ -206,105 +218,6 @@ pub fn prometheus(
             "gauge"
         };
         out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-    }
-    out
-}
-
-/// Renders the telemetry families — rolling-window gauges, tail
-/// exemplars, and SLO burn-rate alarms — as Prometheus text. Kept
-/// separate from [`prometheus`] (and appended after it by the scrape
-/// server) so the v1 exposition, which is pinned by snapshot tests,
-/// stays byte-identical when telemetry is disabled.
-#[must_use]
-pub fn prometheus_telemetry(
-    windows: &[(&str, WindowDelta)],
-    exemplars: &[Exemplar],
-    slo: &[SloStatus],
-) -> String {
-    let mut out = String::new();
-
-    out.push_str(
-        "# HELP nacu_obs_window_requests Requests recorded end-to-end inside the rolling window.\n\
-         # TYPE nacu_obs_window_requests gauge\n",
-    );
-    for (label, w) in windows {
-        out.push_str(&format!(
-            "nacu_obs_window_requests{{window=\"{label}\"}} {}\n",
-            w.stage_merged(Stage::EndToEnd).count
-        ));
-    }
-    out.push_str(
-        "# HELP nacu_obs_window_p99_ns End-to-end p99 over the rolling window, nanoseconds.\n\
-         # TYPE nacu_obs_window_p99_ns gauge\n",
-    );
-    for (label, w) in windows {
-        out.push_str(&format!(
-            "nacu_obs_window_p99_ns{{window=\"{label}\"}} {}\n",
-            w.stage_merged(Stage::EndToEnd).p99()
-        ));
-    }
-    out.push_str(
-        "# HELP nacu_obs_window_ops_per_sec Operands served per second over the rolling window.\n\
-         # TYPE nacu_obs_window_ops_per_sec gauge\n",
-    );
-    for (label, w) in windows {
-        out.push_str(&format!(
-            "nacu_obs_window_ops_per_sec{{window=\"{label}\"}} {}\n",
-            fmt_f64(w.per_second(w.total_ops()))
-        ));
-    }
-
-    out.push_str(
-        "# HELP nacu_obs_exemplar_ns Tail-latency exemplars: one concrete request per series.\n\
-         # TYPE nacu_obs_exemplar_ns gauge\n",
-    );
-    for e in exemplars {
-        out.push_str(&format!(
-            "nacu_obs_exemplar_ns{{stage=\"{}\",function=\"{}\",req=\"{}\",conn=\"{}\"}} {}\n",
-            e.stage.name(),
-            e.function,
-            e.req,
-            e.conn,
-            e.value_ns
-        ));
-    }
-
-    out.push_str(
-        "# HELP nacu_obs_slo_burn_rate Error-budget burn rate per SLO and evaluation window.\n\
-         # TYPE nacu_obs_slo_burn_rate gauge\n",
-    );
-    for s in slo {
-        out.push_str(&format!(
-            "nacu_obs_slo_burn_rate{{slo=\"{}\",window=\"fast\"}} {}\n",
-            s.name,
-            fmt_f64(s.fast_burn)
-        ));
-        out.push_str(&format!(
-            "nacu_obs_slo_burn_rate{{slo=\"{}\",window=\"slow\"}} {}\n",
-            s.name,
-            fmt_f64(s.slow_burn)
-        ));
-    }
-    out.push_str(
-        "# HELP nacu_obs_slo_alarm_active 1 while the SLO's burn-rate alarm is active.\n\
-         # TYPE nacu_obs_slo_alarm_active gauge\n",
-    );
-    for s in slo {
-        out.push_str(&format!(
-            "nacu_obs_slo_alarm_active{{slo=\"{}\"}} {}\n",
-            s.name,
-            u8::from(s.active)
-        ));
-    }
-    out.push_str(
-        "# HELP nacu_obs_slo_alarm_trips_total Rising edges of the SLO's burn-rate alarm.\n\
-         # TYPE nacu_obs_slo_alarm_trips_total counter\n",
-    );
-    for s in slo {
-        out.push_str(&format!(
-            "nacu_obs_slo_alarm_trips_total{{slo=\"{}\"}} {}\n",
-            s.name, s.trips
-        ));
     }
     out
 }
@@ -424,41 +337,30 @@ fn json_histogram(h: &HistogramSnapshot) -> String {
     )
 }
 
-/// Renders the snapshot, the flat `counters` and the telemetry sections
-/// as one stable JSON document ([`JSON_SCHEMA_V2`]). Without a telemetry
-/// plane, pass empty `windows`, `exemplars` and `slo`: the sections are
-/// then rendered empty, so every consumer reads the same layout.
+/// Renders the snapshot and the flat `counters` as one stable JSON
+/// document ([`JSON_SCHEMA`]).
 ///
 /// Layout (all latency values nanoseconds; bucket entries are
 /// `[upper_bound, count]` pairs over the non-empty buckets):
 ///
 /// ```json
 /// {
-///   "schema": "nacu-obs/v2",
+///   "schema": "nacu-obs/v3",
 ///   "clock_hz": 266666666.66,
 ///   "histograms": {"queue_wait_ns": {"sigmoid": {...}, ...}, ...},
 ///   "cycles": {"sigmoid": {"batches": 0, ...}, ...},
 ///   "trace": {"capacity": 4096, "recorded": 0, "dropped": 0},
 ///   "health": {"sample_interval": 256, "alarm_latched": false,
 ///              "functions": {"sigmoid": {"samples": 0, ...}, ...}},
-///   "windows": {"10s": {"span_ns": ..., "stages": {...}, ...}, ...},
 ///   "exemplars": [{"stage": "end_to_end_ns", "req": 42, ...}],
-///   "slo": {"burning": false, "alarms": [...]},
 ///   "counters": {"nacu_engine_requests_submitted_total": 0, ...}
 /// }
 /// ```
 #[must_use]
-pub fn json_v2(
-    snap: &ObsSnapshot,
-    clock_hz: f64,
-    counters: &[(&str, u64)],
-    windows: &[(&str, WindowDelta)],
-    exemplars: &[Exemplar],
-    slo: &[SloStatus],
-) -> String {
+pub fn json(snap: &ObsSnapshot, clock_hz: f64, counters: &[(&str, u64)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\n  \"schema\": \"{JSON_SCHEMA_V2}\",\n  \"clock_hz\": {},\n",
+        "{{\n  \"schema\": \"{JSON_SCHEMA}\",\n  \"clock_hz\": {},\n",
         fmt_f64(clock_hz)
     ));
 
@@ -537,44 +439,8 @@ pub fn json_v2(
     out.push_str(&health_entries.join(",\n"));
     out.push_str("\n  }},\n");
 
-    out.push_str("  \"windows\": {\n");
-    let window_entries: Vec<String> = windows
-        .iter()
-        .map(|(label, w)| {
-            let stages: Vec<String> = Stage::ALL
-                .iter()
-                .map(|&stage| {
-                    let h = w.stage_merged(stage);
-                    format!(
-                        "\"{}\": {{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                        stage.name(),
-                        h.count,
-                        h.sum,
-                        h.p50(),
-                        h.p90(),
-                        h.p99()
-                    )
-                })
-                .collect();
-            let ops: Vec<String> = ACCOUNTED_FUNCTIONS
-                .iter()
-                .enumerate()
-                .map(|(i, f)| format!("\"{f}\":{}", w.ops[i]))
-                .collect();
-            format!(
-                "    \"{label}\": {{\"span_ns\":{},\"samples\":{},\"stages\":{{{}}},\"ops\":{{{}}},\"ops_per_sec\":{}}}",
-                w.span_ns,
-                w.samples,
-                stages.join(","),
-                ops.join(","),
-                fmt_f64(w.per_second(w.total_ops()))
-            )
-        })
-        .collect();
-    out.push_str(&window_entries.join(",\n"));
-    out.push_str("\n  },\n");
-
-    let exemplar_entries: Vec<String> = exemplars
+    let exemplar_entries: Vec<String> = snap
+        .exemplars
         .iter()
         .map(|e| {
             format!(
@@ -594,36 +460,6 @@ pub fn json_v2(
         out.push_str(&format!(
             "  \"exemplars\": [\n{}\n  ],\n",
             exemplar_entries.join(",\n")
-        ));
-    }
-
-    let burning = slo.iter().any(|s| s.active);
-    let alarm_entries: Vec<String> = slo
-        .iter()
-        .map(|s| {
-            let budget = s
-                .budget_ns
-                .map_or_else(|| "null".to_string(), |b| b.to_string());
-            format!(
-                "    {{\"name\":\"{}\",\"active\":{},\"trips\":{},\"fast_burn\":{},\"slow_burn\":{},\"budget_ns\":{},\"threshold\":{}}}",
-                s.name,
-                s.active,
-                s.trips,
-                fmt_f64(s.fast_burn),
-                fmt_f64(s.slow_burn),
-                budget,
-                fmt_f64(s.threshold)
-            )
-        })
-        .collect();
-    if alarm_entries.is_empty() {
-        out.push_str(&format!(
-            "  \"slo\": {{\"burning\":{burning},\"alarms\":[]}},\n"
-        ));
-    } else {
-        out.push_str(&format!(
-            "  \"slo\": {{\"burning\":{burning},\"alarms\":[\n{}\n  ]}},\n",
-            alarm_entries.join(",\n")
         ));
     }
 
@@ -691,22 +527,15 @@ mod tests {
         assert!(text.contains("nacu_obs_drift_alarms_total{function=\"sigmoid\"} 1"));
         assert!(text.contains("nacu_obs_drift_alarm_latched 1"));
         assert!(text.contains("# TYPE nacu_obs_health_err_lsb histogram"));
-        let doc = json_v2(&obs.snapshot(), 1e9, &[], &[], &[], &[]);
+        let doc = json(&obs.snapshot(), 1e9, &[]);
         assert!(doc.contains("\"health\": {\"sample_interval\":1,\"alarm_latched\":true"));
         assert!(doc.contains("\"sigmoid\": {\"samples\":1,\"alarms\":1"));
     }
 
     #[test]
     fn json_carries_the_schema_tag_and_sections() {
-        let doc = json_v2(
-            &populated(),
-            1e9,
-            &[("requests_submitted", 2)],
-            &[],
-            &[],
-            &[],
-        );
-        assert!(doc.contains("\"schema\": \"nacu-obs/v2\""));
+        let doc = json(&populated(), 1e9, &[("requests_submitted", 2)]);
+        assert!(doc.contains("\"schema\": \"nacu-obs/v3\""));
         assert!(doc.contains("\"queue_wait_ns\""));
         assert!(doc.contains("\"sigmoid\": {\"count\":2"));
         assert!(doc.contains("\"counters\": {\"requests_submitted\":2}"));
@@ -720,70 +549,12 @@ mod tests {
         assert_eq!(fmt_f64(1.5), "1.5");
     }
 
-    fn telemetry_inputs() -> (
-        Vec<(&'static str, WindowDelta)>,
-        Vec<Exemplar>,
-        Vec<SloStatus>,
-    ) {
-        let series = crate::window::TelemetrySeries::new(8);
-        let obs = Obs::with_trace_capacity(4);
-        obs.record_latency(Stage::EndToEnd, Function::Sigmoid, 700);
-        series.push_at(
-            1_000_000_000,
-            obs.snapshot(),
-            vec![("requests_submitted", 1)],
-        );
-        let windows = vec![("10s", series.window(std::time::Duration::from_secs(10)))];
-        let exemplars = vec![Exemplar {
-            stage: Stage::EndToEnd,
-            function: Function::Sigmoid,
-            value_ns: 700,
-            req: 42,
-            conn: 3,
-            at_ns: 999,
-        }];
-        let slo = vec![SloStatus {
-            name: "e2e_p99",
-            active: true,
-            tripped_now: false,
-            cleared_now: false,
-            trips: 2,
-            fast_burn: 4.5,
-            slow_burn: 2.25,
-            budget_ns: Some(50_000),
-            threshold: 1.0,
-        }];
-        (windows, exemplars, slo)
-    }
-
     #[test]
-    fn json_v2_renders_windows_exemplars_and_slo() {
-        let (windows, exemplars, slo) = telemetry_inputs();
-        let doc = json_v2(&populated(), 1e9, &[], &windows, &exemplars, &slo);
-        assert!(doc.contains("\"10s\": {\"span_ns\":1000000000,\"samples\":1"));
-        assert!(doc.contains("\"req\":42,\"conn\":3"));
-        assert!(doc.contains("\"slo\": {\"burning\":true"));
-        assert!(doc.contains("\"budget_ns\":50000"));
-    }
-
-    #[test]
-    fn json_v2_with_no_telemetry_data_emits_empty_sections() {
-        let v2 = json_v2(&populated(), 1e9, &[], &[], &[], &[]);
-        assert!(v2.contains("\"windows\": {\n\n  }"));
-        assert!(v2.contains("\"exemplars\": []"));
-        assert!(v2.contains("\"slo\": {\"burning\":false,\"alarms\":[]}"));
-    }
-
-    #[test]
-    fn prometheus_telemetry_exposes_windows_exemplars_and_alarms() {
-        let (windows, exemplars, slo) = telemetry_inputs();
-        let text = prometheus_telemetry(&windows, &exemplars, &slo);
-        assert!(text.contains("nacu_obs_window_requests{window=\"10s\"} 1"));
-        assert!(text.contains("# TYPE nacu_obs_window_p99_ns gauge"));
-        assert!(text.contains("nacu_obs_exemplar_ns{stage=\"end_to_end_ns\",function=\"sigmoid\",req=\"42\",conn=\"3\"} 700"));
-        assert!(text.contains("nacu_obs_slo_burn_rate{slo=\"e2e_p99\",window=\"fast\"} 4.5"));
-        assert!(text.contains("nacu_obs_slo_burn_rate{slo=\"e2e_p99\",window=\"slow\"} 2.25"));
-        assert!(text.contains("nacu_obs_slo_alarm_active{slo=\"e2e_p99\"} 1"));
-        assert!(text.contains("nacu_obs_slo_alarm_trips_total{slo=\"e2e_p99\"} 2"));
+    fn no_exemplars_render_an_empty_family_and_section() {
+        let snap = populated();
+        assert!(snap.exemplars.is_empty());
+        let text = prometheus(&snap, 1e9, &[], &[]);
+        assert!(text.contains("# TYPE nacu_obs_exemplar_ns gauge\n# HELP"));
+        assert!(json(&snap, 1e9, &[]).contains("\"exemplars\": []"));
     }
 }

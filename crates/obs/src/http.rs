@@ -10,8 +10,9 @@
 //! Routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition (format 0.0.4), the
-//!   same bytes [`export::prometheus`] renders;
-//! * `GET /metrics.json` — the stable `nacu-obs/v2` JSON document;
+//!   same bytes [`export::prometheus`] renders, tail exemplars included;
+//! * `GET /metrics.json` — the stable JSON document [`export::json`]
+//!   renders (schema [`export::JSON_SCHEMA`]);
 //! * `GET /health` — `200 ok` while every worker is in service and no
 //!   drift alarm has latched, `503 degraded` otherwise, with a small
 //!   JSON body either way;
@@ -33,8 +34,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::chrome::chrome_trace;
-use crate::slo::Telemetry;
-use crate::window::WINDOWS;
 use crate::{export, Obs};
 
 /// How long a single scrape connection may take to send its request or
@@ -74,14 +73,6 @@ pub trait ScrapeSource: Send + Sync + 'static {
     }
     /// Worker in-service census for `/health`.
     fn workers(&self) -> WorkerCensus;
-    /// The host's telemetry plane, when sampling is enabled. With a
-    /// plane present, `/metrics` appends the telemetry families,
-    /// `/metrics.json` fills its `windows`, `exemplars` and `slo`
-    /// sections, and `/slo` reports (and gates on) the burn-rate alarms.
-    /// Without one those sections are empty.
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        None
-    }
 }
 
 /// Handle to a running scrape server; dropping it shuts the server down.
@@ -224,14 +215,7 @@ fn handle(mut stream: TcpStream, source: &dyn ScrapeSource) -> io::Result<()> {
             let obs = source.obs();
             let counters = source.counters();
             let help = source.counter_help();
-            let mut body = export::prometheus(&obs.snapshot(), source.clock_hz(), &counters, &help);
-            if let Some(tele) = source.telemetry() {
-                body.push_str(&export::prometheus_telemetry(
-                    &telemetry_windows(&tele),
-                    &obs.exemplars(),
-                    &tele.statuses(),
-                ));
-            }
+            let body = export::prometheus(&obs.snapshot(), source.clock_hz(), &counters, &help);
             respond(
                 &mut stream,
                 200,
@@ -243,56 +227,8 @@ fn handle(mut stream: TcpStream, source: &dyn ScrapeSource) -> io::Result<()> {
         "/metrics.json" => {
             let obs = source.obs();
             let counters = source.counters();
-            let (windows, exemplars, slo) = match source.telemetry() {
-                Some(tele) => (telemetry_windows(&tele), obs.exemplars(), tele.statuses()),
-                None => Default::default(),
-            };
-            let body = export::json_v2(
-                &obs.snapshot(),
-                source.clock_hz(),
-                &counters,
-                &windows,
-                &exemplars,
-                &slo,
-            );
+            let body = export::json(&obs.snapshot(), source.clock_hz(), &counters);
             respond(&mut stream, 200, "OK", "application/json", &body)
-        }
-        "/slo" => {
-            let Some(tele) = source.telemetry() else {
-                return respond(
-                    &mut stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    "{\"enabled\":false,\"burning\":false,\"alarms\":[]}\n",
-                );
-            };
-            let statuses = tele.statuses();
-            let burning = statuses.iter().any(|s| s.active);
-            let alarms: Vec<String> = statuses
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"name\":\"{}\",\"active\":{},\"trips\":{},\"fast_burn\":{:.6},\"slow_burn\":{:.6},\"threshold\":{}}}",
-                        s.name, s.active, s.trips, s.fast_burn, s.slow_burn, s.threshold
-                    )
-                })
-                .collect();
-            let body = format!(
-                "{{\"enabled\":true,\"burning\":{burning},\"alarms\":[{}]}}\n",
-                alarms.join(",")
-            );
-            if burning {
-                respond(
-                    &mut stream,
-                    503,
-                    "Service Unavailable",
-                    "application/json",
-                    &body,
-                )
-            } else {
-                respond(&mut stream, 200, "OK", "application/json", &body)
-            }
         }
         "/health" => {
             let obs = source.obs();
@@ -332,9 +268,8 @@ fn handle(mut stream: TcpStream, source: &dyn ScrapeSource) -> io::Result<()> {
             "text/plain; charset=utf-8",
             "nacu-obs scrape server\n\
              /metrics       Prometheus text exposition\n\
-             /metrics.json  nacu-obs/v2 JSON\n\
+             /metrics.json  nacu-obs/v3 JSON\n\
              /health        200 ok | 503 degraded\n\
-             /slo           SLO burn-rate alarms; 503 while burning\n\
              /trace         Chrome trace-event JSON (Perfetto)\n",
         ),
         _ => respond(
@@ -345,15 +280,6 @@ fn handle(mut stream: TcpStream, source: &dyn ScrapeSource) -> io::Result<()> {
             "unknown path\n",
         ),
     }
-}
-
-/// The standard rolling windows, materialised from a telemetry plane's
-/// series for the scrape exporters.
-fn telemetry_windows(tele: &Telemetry) -> Vec<(&'static str, crate::window::WindowDelta)> {
-    WINDOWS
-        .iter()
-        .map(|&(label, duration)| (label, tele.series().window(duration)))
-        .collect()
 }
 
 /// Why a request head could not be read (each maps to its own status).
@@ -478,117 +404,11 @@ mod tests {
         assert!(body.contains("nacu_engine_requests_submitted_total 7"));
         let (status, body) = get(addr, "GET /metrics.json HTTP/1.1");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("\"schema\": \"nacu-obs/v2\""));
+        assert!(body.contains("\"schema\": \"nacu-obs/v3\""));
         assert!(body.contains("\"exemplars\": []"));
-        assert!(body.contains("\"slo\": {\"burning\":false,\"alarms\":[]}"));
         let (status, body) = get(addr, "GET / HTTP/1.1");
         assert_eq!(status, "HTTP/1.1 200 OK");
         assert!(body.contains("/metrics.json"));
-    }
-
-    struct TelemetryFixture {
-        obs: Arc<Obs>,
-        tele: Arc<Telemetry>,
-    }
-
-    impl ScrapeSource for TelemetryFixture {
-        fn obs(&self) -> Arc<Obs> {
-            Arc::clone(&self.obs)
-        }
-        fn clock_hz(&self) -> f64 {
-            1e9
-        }
-        fn counters(&self) -> Vec<(&'static str, u64)> {
-            Vec::new()
-        }
-        fn workers(&self) -> WorkerCensus {
-            WorkerCensus {
-                total: 1,
-                healthy: 1,
-            }
-        }
-        fn telemetry(&self) -> Option<Arc<Telemetry>> {
-            Some(Arc::clone(&self.tele))
-        }
-    }
-
-    #[test]
-    fn slo_route_reports_disabled_without_a_telemetry_plane() {
-        let server = start(
-            Arc::new(Obs::with_trace_capacity(4)),
-            WorkerCensus {
-                total: 1,
-                healthy: 1,
-            },
-        );
-        let (status, body) = get(server.local_addr(), "GET /slo HTTP/1.1");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("\"enabled\":false"));
-    }
-
-    #[test]
-    fn telemetry_plane_upgrades_every_endpoint_and_gates_slo() {
-        use crate::slo::{LatencyBudget, SloSpec};
-        use nacu::Function;
-        use std::time::Duration;
-
-        let obs = Arc::new(Obs::with_trace_capacity(16));
-        let spec = SloSpec::latency(
-            "e2e_p99",
-            crate::Stage::EndToEnd,
-            Function::Sigmoid,
-            0.99,
-            LatencyBudget::Nanos(10_000),
-            1.0,
-        )
-        .with_windows(Duration::from_secs(3600), Duration::from_secs(3600));
-        let tele = Arc::new(Telemetry::new(
-            16,
-            Duration::from_millis(5),
-            1e9,
-            vec![spec],
-        ));
-        let server = serve(
-            "127.0.0.1:0",
-            Arc::new(TelemetryFixture {
-                obs: Arc::clone(&obs),
-                tele: Arc::clone(&tele),
-            }),
-        )
-        .expect("bind loopback");
-        let addr = server.local_addr();
-
-        // Clean traffic: /slo is 200 with the alarm listed inactive.
-        obs.record_latency_tagged(crate::Stage::EndToEnd, Function::Sigmoid, 1_000, 1, 0);
-        tele.sample(obs.snapshot(), Vec::new());
-        let (status, body) = get(addr, "GET /slo HTTP/1.1");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("\"enabled\":true"));
-        assert!(body.contains("\"name\":\"e2e_p99\",\"active\":false"));
-
-        // A latency spike: the alarm latches and /slo turns 503.
-        obs.record_latency_tagged(crate::Stage::EndToEnd, Function::Sigmoid, 5_000_000, 2, 7);
-        tele.sample(obs.snapshot(), Vec::new());
-        let (status, body) = get(addr, "GET /slo HTTP/1.1");
-        assert_eq!(status, "HTTP/1.1 503 Service Unavailable");
-        assert!(body.contains("\"burning\":true"));
-
-        // Both wire formats carry the telemetry sections.
-        let (_, body) = get(addr, "GET /metrics HTTP/1.1");
-        assert!(body.contains("nacu_obs_slo_alarm_active{slo=\"e2e_p99\"} 1"));
-        assert!(body.contains("nacu_obs_window_requests{window=\"10s\"}"));
-        assert!(
-            body.contains("nacu_obs_exemplar_ns{stage=\"end_to_end_ns\",function=\"sigmoid\",req=\"2\",conn=\"7\"} 5000000"),
-            "tail exemplar missing from /metrics"
-        );
-        let (_, body) = get(addr, "GET /metrics.json HTTP/1.1");
-        assert!(body.contains("\"schema\": \"nacu-obs/v2\""));
-        assert!(body.contains("\"slo\": {\"burning\":true"));
-        assert!(body.contains("\"req\":2,\"conn\":7"));
-
-        // The exemplar also reached the flight recorder.
-        let (_, body) = get(addr, "GET /trace HTTP/1.1");
-        assert!(body.contains("\"name\":\"tail sigmoid\""));
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!   Table I cycle model per function, answering "how many effective
 //!   cycles per operand did this run pay, and how far is that from the
 //!   hardware?";
+//! * [`exemplar::ExemplarRing`] — a small bounded ring of tail
+//!   exemplars: the request and connection ids behind the slowest
+//!   recorded latencies;
 //! * [`export`] — Prometheus text exposition and a stable JSON schema
-//!   over one coherent [`ObsSnapshot`];
+//!   over one coherent [`ObsSnapshot`], tail exemplars included;
 //! * [`health`] — a sampling shadow-reference checker that recomputes
 //!   the f64 reference for 1-in-N served operands and raises typed
 //!   [`DriftAlarm`]s against the paper's Eq. 7 / Eq. 16 bounds;
@@ -36,9 +39,7 @@ pub mod export;
 pub mod health;
 pub mod hist;
 pub mod http;
-pub mod slo;
 pub mod trace;
-pub mod window;
 
 use nacu::Function;
 
@@ -51,11 +52,7 @@ pub use health::{
 };
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use http::{serve, ObsServer, ScrapeSource, WorkerCensus};
-pub use slo::{LatencyBudget, SloEngine, SloObjective, SloSpec, SloStatus, Telemetry};
 pub use trace::{TraceEvent, TraceKind, TraceRing};
-pub use window::{
-    SparseDelta, TelemetrySample, TelemetrySeries, WindowDelta, DEFAULT_SAMPLE_CAPACITY, WINDOWS,
-};
 
 /// Default undrained-event capacity of the trace ring.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -190,12 +187,6 @@ impl Obs {
         }
     }
 
-    /// The currently retained tail exemplars, oldest first.
-    #[must_use]
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        self.exemplars.snapshot()
-    }
-
     /// The exemplar ring itself (capture counters live here).
     #[must_use]
     pub fn exemplar_ring(&self) -> &ExemplarRing {
@@ -241,6 +232,7 @@ impl Obs {
                 dropped: self.trace.dropped(),
             },
             health: self.health.snapshot(),
+            exemplars: self.exemplars.snapshot(),
         }
     }
 }
@@ -271,6 +263,8 @@ pub struct ObsSnapshot {
     pub trace: TraceStats,
     /// Numerical-health statistics from the shadow checker.
     pub health: HealthSnapshot,
+    /// The retained tail exemplars, oldest first.
+    pub exemplars: Vec<Exemplar>,
 }
 
 impl Default for ObsSnapshot {
@@ -306,7 +300,8 @@ impl ObsSnapshot {
 
     /// Histogram- and row-wise difference since `earlier` (saturating;
     /// histogram extremes stay lifetime values — see
-    /// [`HistogramSnapshot::since`]).
+    /// [`HistogramSnapshot::since`]). Keeps the exemplars `earlier` did
+    /// not hold.
     #[must_use]
     pub fn since(&self, earlier: &ObsSnapshot) -> ObsSnapshot {
         ObsSnapshot {
@@ -322,6 +317,12 @@ impl ObsSnapshot {
                 dropped: self.trace.dropped.saturating_sub(earlier.trace.dropped),
             },
             health: self.health.since(&earlier.health),
+            exemplars: self
+                .exemplars
+                .iter()
+                .filter(|e| !earlier.exemplars.contains(e))
+                .copied()
+                .collect(),
         }
     }
 }
@@ -372,12 +373,18 @@ mod tests {
         obs.record_latency(Stage::EndToEnd, Function::Exp, 10);
         obs.cycles().record_batch(Function::Exp, 1, 8, 9, 10);
         obs.record_trace(TraceKind::Scrub { worker: 1 });
+        obs.record_latency_tagged(Stage::EndToEnd, Function::Exp, 10, 1, 0);
         let early = obs.snapshot();
         obs.record_latency(Stage::EndToEnd, Function::Exp, 20);
         obs.cycles().record_batch(Function::Exp, 1, 8, 9, 20);
+        obs.record_latency_tagged(Stage::EndToEnd, Function::Exp, 30, 2, 7);
         let d = obs.snapshot().since(&early);
-        assert_eq!(d.stage(Stage::EndToEnd, Function::Exp).unwrap().count, 1);
+        assert_eq!(d.stage(Stage::EndToEnd, Function::Exp).unwrap().count, 2);
         assert_eq!(d.cycles.row(Function::Exp).unwrap().measured_ns, 20);
-        assert_eq!(d.trace.recorded, 0);
+        // Only the second tagged record's trace event is new.
+        assert_eq!(d.trace.recorded, 1);
+        assert_eq!(early.exemplars.len(), 1);
+        let fresh: Vec<(u64, u32)> = d.exemplars.iter().map(|e| (e.req, e.conn)).collect();
+        assert_eq!(fresh, [(2, 7)]);
     }
 }

@@ -139,13 +139,6 @@ pub enum TraceKind {
         /// Which budget the sample violated.
         kind: DriftKind,
     },
-    /// An SLO burn-rate alarm changed state (see [`crate::slo::SloEngine`]).
-    SloBurn {
-        /// The spec's stable name.
-        slo: &'static str,
-        /// `true` on the rising edge, `false` when the alarm cleared.
-        active: bool,
-    },
     /// A latency record landed in the tail (within 2× of the stage's
     /// observed maximum) and was captured as an exemplar, tying the
     /// aggregate histogram back to one concrete request.
@@ -187,7 +180,6 @@ impl TraceKind {
             Self::Scrub { .. } => "scrub",
             Self::LayerForward { .. } => "layer_forward",
             Self::DriftAlarm { .. } => "drift_alarm",
-            Self::SloBurn { .. } => "slo_burn",
             Self::TailExemplar { .. } => "tail_exemplar",
         }
     }

@@ -54,17 +54,6 @@ stage obs-smoke cargo run --release --offline -q -p nacu-bench --bin obs_smoke -
     --trace "${LOG_DIR}/obs_trace.json" \
     --drift-prom "${LOG_DIR}/obs_drift.prom"
 
-# SLO smoke: windowed-telemetry plane end to end — the background
-# sampler must cost ≤ 3% throughput, a latency-spike + expired-deadline
-# storm must flip /slo to 503 with both burn-rate alarms active
-# (must-fire), and the alarms must clear once the storm ages out of the
-# burn windows (must-clear). The burning /slo body and /metrics
-# exposition land next to the stage logs.
-stage slo-smoke cargo run --release --offline -q -p nacu-bench --bin slo_smoke -- \
-    --smoke \
-    --slo "${LOG_DIR}/slo_pr.json" \
-    --prom "${LOG_DIR}/slo_metrics.prom"
-
 # Network serving smoke: loopback loadgen through the nacu-net TCP
 # plane plus the deterministic BUSY/SHED/QUOTA admission demo. The
 # net_pr.json record lands next to the stage logs.

@@ -215,12 +215,51 @@ fn kernel_softmax_rejects_what_softmax_rejects() {
     assert_eq!(xs, [alien], "a rejected vector is left untouched");
 }
 
-/// The widths `NacuConfig::for_width` accepts (3 to 63 bits) at which
-/// `Nacu::new` builds a unit: it refuses 3 bits, and from 52 bits its
-/// segment-boundary arithmetic overflows `i64` (and the softmax
-/// accumulator format outgrows 63 bits a few widths later), so no engine
-/// can be built there either.
-const SWEPT_WIDTHS: std::ops::RangeInclusive<u32> = 4..=51;
+/// The widths at which a unit can be built: `NacuConfig::for_width`
+/// refuses 3 bits (a 4-entry LUT over 4 codes) and everything past
+/// `NacuConfig::max_width`, where the softmax accumulator outgrows 63
+/// bits.
+fn swept_widths() -> std::ops::RangeInclusive<u32> {
+    4..=NacuConfig::max_width()
+}
+
+/// `for_width` then `Nacu::new` at every width up to 64 answers `Ok` or a
+/// typed `Err` and never panics (the test profile checks every integer
+/// overflow), the widths that build are exactly [`swept_widths`], and
+/// every unit that builds computes a small softmax.
+#[test]
+fn every_width_builds_or_refuses_without_panicking() {
+    let mut built = Vec::new();
+    for width in 1..=64 {
+        let unit = match NacuConfig::for_width(width).and_then(Nacu::new) {
+            Ok(unit) => unit,
+            Err(e) => {
+                if width > NacuConfig::max_width() && width < 64 {
+                    assert!(
+                        matches!(e, nacu::NacuError::DatapathWordUnfit { .. }),
+                        "width {width}: {e}"
+                    );
+                }
+                continue;
+            }
+        };
+        let fmt = unit.config().format;
+        let xs: Vec<Fx> = [-1.0, 0.0, 0.5, 2.0]
+            .iter()
+            .map(|&v| Fx::from_f64(v, fmt, Rounding::Nearest))
+            .collect();
+        let ys = unit
+            .softmax(&xs)
+            .unwrap_or_else(|e| panic!("softmax at width {width}: {e}"));
+        let sum: f64 = ys.iter().map(Fx::to_f64).sum();
+        assert!(
+            (sum - 1.0).abs() <= xs.len() as f64 * fmt.resolution(),
+            "softmax at width {width} sums to {sum}"
+        );
+        built.push(width);
+    }
+    assert_eq!(built, swept_widths().collect::<Vec<_>>());
+}
 
 /// Widths up to this are swept over every code; wider ones over
 /// [`SAMPLED_CODES`] seeded codes per function.
@@ -238,7 +277,7 @@ const SOFTMAX_VECTORS: usize = 256;
 #[test]
 fn kernel_equals_the_walk_at_every_width() {
     let mut seed = 0x00C0_DE5E_ED00_u64;
-    for width in SWEPT_WIDTHS {
+    for width in swept_widths() {
         let config = NacuConfig::for_width(width).expect("Eq. 7 solvable");
         let g = Nacu::new(config).expect("a unit builds at this width");
         let fmt = config.format;

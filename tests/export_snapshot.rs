@@ -5,17 +5,19 @@
 //! must not drift silently. These tests record a fixed event stream and
 //! compare the full rendered strings; an intentional format change must
 //! update the expected text here **and** bump
-//! [`nacu_obs::export::JSON_SCHEMA_V2`] if the JSON layout moved.
+//! [`nacu_obs::export::JSON_SCHEMA`] if the JSON layout moved.
 //!
-//! Wall-time budget: well under 1 s (four renders of a handful of
+//! Wall-time budget: well under 1 s (two renders of a handful of
 //! events, no threads, no sockets).
 
 use nacu::Function;
 use nacu_engine::MetricsSnapshot;
-use nacu_obs::export::{json_v2, prometheus, prometheus_telemetry, JSON_SCHEMA_V2};
-use nacu_obs::{Obs, Stage, TraceKind};
+use nacu_obs::export::{json, prometheus, JSON_SCHEMA};
+use nacu_obs::{Exemplar, Obs, Stage, TraceKind};
 
-/// A deterministic observation stream: two σ batches and one softmax.
+/// A deterministic observation stream: two σ batches and one softmax,
+/// plus one literal tail exemplar (a captured one would carry a
+/// wall-clock stamp).
 fn fixed_snapshot() -> nacu_obs::ObsSnapshot {
     let obs = Obs::with_trace_capacity(8);
     obs.record_latency(Stage::QueueWait, Function::Sigmoid, 1_000);
@@ -36,7 +38,16 @@ fn fixed_snapshot() -> nacu_obs::ObsSnapshot {
         ops: 64,
     });
     obs.record_trace(TraceKind::Quarantine { worker: 1 });
-    obs.snapshot()
+    let mut snap = obs.snapshot();
+    snap.exemplars = vec![Exemplar {
+        stage: Stage::EndToEnd,
+        function: Function::Softmax,
+        value_ns: 45_000,
+        req: 3,
+        conn: 2,
+        at_ns: 900_000_000,
+    }];
+    snap
 }
 
 /// Flat series as the engine exports them: `_total` tallies and one
@@ -135,6 +146,9 @@ nacu_obs_trace_dropped_total 0
 # HELP nacu_obs_trace_capacity Trace ring capacity.
 # TYPE nacu_obs_trace_capacity gauge
 nacu_obs_trace_capacity 8
+# HELP nacu_obs_exemplar_ns Tail-latency exemplars: one concrete request per series.
+# TYPE nacu_obs_exemplar_ns gauge
+nacu_obs_exemplar_ns{stage="end_to_end_ns",function="softmax",req="3",conn="2"} 45000
 # HELP nacu_obs_health_sample_interval Shadow-check one in this many operands (0 = disabled).
 # TYPE nacu_obs_health_sample_interval gauge
 nacu_obs_health_sample_interval 0
@@ -195,7 +209,7 @@ nacu_engine_queue_depth_high_water 2
 #[test]
 fn json_snapshot_is_pinned() {
     let expected = r#"{
-  "schema": "nacu-obs/v2",
+  "schema": "nacu-obs/v3",
   "clock_hz": 1000000000,
   "histograms": {
     "queue_wait_ns": {"sigmoid": {"count":2,"sum":4000,"min":1000,"max":3000,"p50":1024,"p90":3000,"p99":3000,"buckets":[[1024,1],[3072,1]]}, "tanh": {"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]}, "exp": {"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]}, "softmax": {"count":1,"sum":2000,"min":2000,"max":2000,"p50":2000,"p90":2000,"p99":2000,"buckets":[[2048,1]]}},
@@ -214,123 +228,16 @@ fn json_snapshot_is_pinned() {
     "tanh": {"samples":0,"alarms":0,"max_err":0,"avg_err":0,"max_err_lsb":0,"avg_err_lsb":0,"correlation":0,"bound":0.0014715479312676892,"bound_lsb":3.0137301632362274,"err_lsb":{"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]}},
     "exp": {"samples":0,"alarms":0,"max_err":0,"avg_err":0,"max_err_lsb":0,"avg_err_lsb":0,"correlation":0,"bound":0.0033093068000353784,"bound_lsb":6.777460326472455,"err_lsb":{"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]}}
   }},
-  "windows": {
-
-  },
-  "exemplars": [],
-  "slo": {"burning":false,"alarms":[]},
-  "counters": {"nacu_engine_requests_submitted_total":3,"nacu_engine_requests_completed_total":3,"nacu_engine_queue_depth_high_water":2}
-}
-"#;
-    let actual = json_v2(&fixed_snapshot(), CLOCK_HZ, COUNTERS, &[], &[], &[]);
-    assert_eq!(
-        actual, expected,
-        "JSON snapshot drifted — if intentional, update this snapshot AND bump JSON_SCHEMA_V2"
-    );
-    assert_eq!(JSON_SCHEMA_V2, "nacu-obs/v2");
-}
-
-/// Deterministic telemetry inputs for the telemetry snapshots: the fixed event
-/// stream as one explicitly-stamped sample, plus literal exemplar and
-/// SLO statuses.
-fn fixed_telemetry() -> (
-    Vec<(&'static str, nacu_obs::WindowDelta)>,
-    Vec<nacu_obs::Exemplar>,
-    Vec<nacu_obs::SloStatus>,
-) {
-    let series = nacu_obs::TelemetrySeries::new(8);
-    series.push_at(1_000_000_000, fixed_snapshot(), COUNTERS.to_vec());
-    let windows = vec![("10s", series.window(std::time::Duration::from_secs(10)))];
-    let exemplars = vec![nacu_obs::Exemplar {
-        stage: Stage::EndToEnd,
-        function: Function::Softmax,
-        value_ns: 45_000,
-        req: 3,
-        conn: 2,
-        at_ns: 900_000_000,
-    }];
-    let slo = vec![nacu_obs::SloStatus {
-        name: "e2e_p99",
-        active: true,
-        tripped_now: false,
-        cleared_now: false,
-        trips: 1,
-        fast_burn: 3.5,
-        slow_burn: 1.25,
-        budget_ns: Some(30_000),
-        threshold: 1.0,
-    }];
-    (windows, exemplars, slo)
-}
-
-#[test]
-fn json_telemetry_snapshot_is_pinned() {
-    // The telemetry sections, pinned byte-for-byte. With telemetry the
-    // document is exactly the pinned one above with these sections
-    // filled in place of the empty ones — every other key is untouched.
-    let empty = r#"  "windows": {
-
-  },
-  "exemplars": [],
-  "slo": {"burning":false,"alarms":[]},
-"#;
-    let filled = r#"  "windows": {
-    "10s": {"span_ns":1000000000,"samples":1,"stages":{"queue_wait_ns": {"count":3,"sum":6000,"p50":2048,"p90":3072,"p99":3072},"batch_service_ns": {"count":2,"sum":60000,"p50":20480,"p90":40960,"p99":40960},"end_to_end_ns": {"count":2,"sum":70000,"p50":25600,"p90":45056,"p99":45056}},"ops":{"sigmoid":64,"tanh":0,"exp":0,"softmax":16},"ops_per_sec":80}
-  },
   "exemplars": [
     {"stage":"end_to_end_ns","function":"softmax","value_ns":45000,"req":3,"conn":2,"at_ns":900000000}
   ],
-  "slo": {"burning":true,"alarms":[
-    {"name":"e2e_p99","active":true,"trips":1,"fast_burn":3.5,"slow_burn":1.25,"budget_ns":30000,"threshold":1}
-  ]},
-"#;
-    let bare = json_v2(&fixed_snapshot(), CLOCK_HZ, COUNTERS, &[], &[], &[]);
-    assert!(bare.contains(empty), "{bare}");
-    let expected = bare.replace(empty, filled);
-    let (windows, exemplars, slo) = fixed_telemetry();
-    let actual = json_v2(
-        &fixed_snapshot(),
-        CLOCK_HZ,
-        COUNTERS,
-        &windows,
-        &exemplars,
-        &slo,
-    );
-    assert_eq!(
-        actual, expected,
-        "JSON telemetry snapshot drifted — if intentional, update this snapshot AND bump JSON_SCHEMA_V2"
-    );
+  "counters": {"nacu_engine_requests_submitted_total":3,"nacu_engine_requests_completed_total":3,"nacu_engine_queue_depth_high_water":2}
 }
-
-#[test]
-fn prometheus_telemetry_exposition_is_pinned() {
-    let expected = r#"# HELP nacu_obs_window_requests Requests recorded end-to-end inside the rolling window.
-# TYPE nacu_obs_window_requests gauge
-nacu_obs_window_requests{window="10s"} 2
-# HELP nacu_obs_window_p99_ns End-to-end p99 over the rolling window, nanoseconds.
-# TYPE nacu_obs_window_p99_ns gauge
-nacu_obs_window_p99_ns{window="10s"} 45056
-# HELP nacu_obs_window_ops_per_sec Operands served per second over the rolling window.
-# TYPE nacu_obs_window_ops_per_sec gauge
-nacu_obs_window_ops_per_sec{window="10s"} 80
-# HELP nacu_obs_exemplar_ns Tail-latency exemplars: one concrete request per series.
-# TYPE nacu_obs_exemplar_ns gauge
-nacu_obs_exemplar_ns{stage="end_to_end_ns",function="softmax",req="3",conn="2"} 45000
-# HELP nacu_obs_slo_burn_rate Error-budget burn rate per SLO and evaluation window.
-# TYPE nacu_obs_slo_burn_rate gauge
-nacu_obs_slo_burn_rate{slo="e2e_p99",window="fast"} 3.5
-nacu_obs_slo_burn_rate{slo="e2e_p99",window="slow"} 1.25
-# HELP nacu_obs_slo_alarm_active 1 while the SLO's burn-rate alarm is active.
-# TYPE nacu_obs_slo_alarm_active gauge
-nacu_obs_slo_alarm_active{slo="e2e_p99"} 1
-# HELP nacu_obs_slo_alarm_trips_total Rising edges of the SLO's burn-rate alarm.
-# TYPE nacu_obs_slo_alarm_trips_total counter
-nacu_obs_slo_alarm_trips_total{slo="e2e_p99"} 1
 "#;
-    let (windows, exemplars, slo) = fixed_telemetry();
-    let actual = prometheus_telemetry(&windows, &exemplars, &slo);
+    let actual = json(&fixed_snapshot(), CLOCK_HZ, COUNTERS);
     assert_eq!(
         actual, expected,
-        "telemetry exposition drifted — if intentional, update this snapshot"
+        "JSON snapshot drifted — if intentional, update this snapshot AND bump JSON_SCHEMA"
     );
+    assert_eq!(JSON_SCHEMA, "nacu-obs/v3");
 }

@@ -5,10 +5,11 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use nacu::{Function, Nacu, NacuConfig};
+use nacu_bench::http_get;
 use nacu_engine::{Engine, EngineConfig, FaultTolerance, Request, SubmitError, TraceKind};
 use nacu_fixed::{Fx, QFormat, Rounding};
 use nacu_net::{NetClient, ServeNet, Status};
@@ -434,20 +435,6 @@ fn unmeetable_deadline_answers_shed_frame() {
     engine.shutdown();
 }
 
-fn get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect scrape server");
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())
-        .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").expect("response head");
-    (
-        head.lines().next().unwrap_or("").to_string(),
-        body.to_string(),
-    )
-}
-
 const NET_COUNTERS: [&str; 7] = [
     "nacu_net_connections_accepted_total",
     "nacu_net_connections_rejected_total",
@@ -507,7 +494,7 @@ fn net_counters_land_in_both_metrics_wire_formats() {
     // counters below are already recorded.
     std::thread::sleep(Duration::from_millis(50));
 
-    let (status, prom) = get(obs.local_addr(), "/metrics");
+    let (status, prom) = http_get(obs.local_addr(), "/metrics").expect("scrape /metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
     for name in NET_COUNTERS {
         assert!(
@@ -521,7 +508,7 @@ fn net_counters_land_in_both_metrics_wire_formats() {
     assert!(prom_value(&prom, "nacu_net_requests_shed_total") >= 1);
     assert!(prom_value(&prom, "nacu_net_protocol_errors_total") >= 1);
 
-    let (status, json) = get(obs.local_addr(), "/metrics.json");
+    let (status, json) = http_get(obs.local_addr(), "/metrics.json").expect("scrape /metrics.json");
     assert_eq!(status, "HTTP/1.1 200 OK");
     for name in NET_COUNTERS {
         assert!(
